@@ -8,7 +8,7 @@ padding analysis, three-mode flow composition, a randomized verification
 harness, visualization, and .flo file interchange.
 """
 
-from .compose import ComposeMode, combine, combine_fast_mode3_target
+from .compose import ComposeMode, combine
 from .core import (
     AffineTransform,
     FlowError,
@@ -25,13 +25,7 @@ from .core import (
     zeros,
 )
 from .fileio import load_flow, read_flo, read_image, save_flow, write_flo, write_image, write_mask
-from .interp import (
-    DEFAULT_WEIGHT_THRESHOLD,
-    ScatterSample,
-    bilinear_sample,
-    grid_from_unstructured_data,
-    splat_samples,
-)
+from .interp import DEFAULT_WEIGHT_THRESHOLD, bilinear_sample, grid_from_unstructured_data
 from .ops import (
     apply,
     fit_matrix,
@@ -58,11 +52,9 @@ __all__ = [
     "Padding",
     "PointSet",
     "Reference",
-    "ScatterSample",
     "apply",
     "bilinear_sample",
     "combine",
-    "combine_fast_mode3_target",
     "fit_matrix",
     "from_matrix",
     "from_transforms",
@@ -80,7 +72,6 @@ __all__ = [
     "resize",
     "run_trials",
     "save_flow",
-    "splat_samples",
     "switch_reference",
     "track",
     "unpad",

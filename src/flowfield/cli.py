@@ -3,8 +3,8 @@
 Flows travel as .flo files with a .ref reference sidecar (written on
 output, consulted on input, overridable with --ref); images and masks
 travel as binary pixmaps. Exit codes: 0 success, 1 usage error, 2 data
-error. Kernels are deterministic; FLOWFIELD_DETERMINISTIC=1 pins this
-contract explicitly.
+error. Kernels are always deterministic, so a fixed seed pins
+`verify-compose` byte for byte.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ def parse_padding(text: str) -> Padding:
         raise click.UsageError(f"padding must be T,B,L,R non-negative integers, got {text!r}")
 
 
-def load(path: str, ref_override: str | None = None):
-    return load_flow(path, ref_override)
-
-
 ref_option = click.option(
     "--ref", "ref_override", type=click.Choice(["s", "t"]), default=None,
     help="Override the reference of the input flow (default: .ref sidecar, else s).",
@@ -86,8 +82,8 @@ ref_option = click.option(
 
 @click.group(
     epilog=TRANSFORM_GRAMMAR
-    + " Set FLOWFIELD_DETERMINISTIC=1 to pin sequential kernels for "
-    "byte-reproducible pipelines (the current kernels always are)."
+    + " Kernels are always deterministic, so a fixed seed pins "
+    "verify-compose byte for byte."
 )
 @click.version_option(__version__)
 def cli():
@@ -117,7 +113,7 @@ def apply_cmd(flow_path, image_path, output, mask_out, ref_override):
     """Warp an image (P5/P6 pixmap) with a flow field."""
     from .ops import apply as apply_flow
 
-    field = load(flow_path, ref_override)
+    field = load_flow(flow_path, ref_override)
     image = read_image(image_path)
     warped, mask = apply_flow(field, image.astype(np.float64))
     write_image(output, np.clip(np.round(warped), 0, 255).astype(np.uint8))
@@ -131,7 +127,7 @@ def apply_cmd(flow_path, image_path, output, mask_out, ref_override):
 @ref_option
 def invert_cmd(flow_path, output, ref_override):
     """Invert the temporal direction of a flow."""
-    save_flow(output, invert(load(flow_path, ref_override)))
+    save_flow(output, invert(load_flow(flow_path, ref_override)))
 
 
 @cli.command("switch-ref")
@@ -140,7 +136,7 @@ def invert_cmd(flow_path, output, ref_override):
 @ref_option
 def switch_ref_cmd(flow_path, output, ref_override):
     """Switch a flow between source and target reference."""
-    save_flow(output, switch_reference(load(flow_path, ref_override)))
+    save_flow(output, switch_reference(load_flow(flow_path, ref_override)))
 
 
 @cli.command("resize")
@@ -154,7 +150,7 @@ def resize_cmd(flow_path, scale, output, ref_override):
         sy, sx = (float(v) for v in scale.split(","))
     except ValueError:
         raise click.UsageError(f"scale must be SY,SX, got {scale!r}")
-    save_flow(output, resize_flow(load(flow_path, ref_override), (sy, sx)))
+    save_flow(output, resize_flow(load_flow(flow_path, ref_override), (sy, sx)))
 
 
 @cli.command("pad")
@@ -164,7 +160,7 @@ def resize_cmd(flow_path, scale, output, ref_override):
 @ref_option
 def pad_cmd(flow_path, padding, output, ref_override):
     """Extend a flow with an invalid zero border."""
-    save_flow(output, pad_flow(load(flow_path, ref_override), parse_padding(padding)))
+    save_flow(output, pad_flow(load_flow(flow_path, ref_override), parse_padding(padding)))
 
 
 @cli.command("unpad")
@@ -174,7 +170,7 @@ def pad_cmd(flow_path, padding, output, ref_override):
 @ref_option
 def unpad_cmd(flow_path, padding, output, ref_override):
     """Crop a previously padded flow."""
-    save_flow(output, unpad_flow(load(flow_path, ref_override), parse_padding(padding)))
+    save_flow(output, unpad_flow(load_flow(flow_path, ref_override), parse_padding(padding)))
 
 
 @cli.command("combine")
@@ -185,7 +181,7 @@ def unpad_cmd(flow_path, padding, output, ref_override):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def combine_cmd(first_path, second_path, mode, out_ref, output):
     """Compose two flows; --mode names the unknown flow (1->2, 2->3, 1->3)."""
-    result = combine_flows(load(first_path), load(second_path), int(mode), out_ref)
+    result = combine_flows(load_flow(first_path), load_flow(second_path), int(mode), out_ref)
     save_flow(output, result)
 
 
@@ -196,7 +192,7 @@ def combine_cmd(first_path, second_path, mode, out_ref, output):
 @ref_option
 def valid_cmd(flow_path, which, output, ref_override):
     """Write the valid source/target area of a flow as a mask pixmap."""
-    field = load(flow_path, ref_override)
+    field = load_flow(flow_path, ref_override)
     mask = valid_source(field) if which == "source" else valid_target(field)
     write_mask(output, mask)
 
@@ -206,7 +202,7 @@ def valid_cmd(flow_path, which, output, ref_override):
 @ref_option
 def padding_cmd(flow_path, ref_override):
     """Print the minimal padding (top bottom left right) avoiding invalid areas."""
-    p = get_padding(load(flow_path, ref_override))
+    p = get_padding(load_flow(flow_path, ref_override))
     click.echo(f"{p.top} {p.bottom} {p.left} {p.right}")
 
 
@@ -217,7 +213,7 @@ def padding_cmd(flow_path, ref_override):
 @ref_option
 def track_cmd(flow_path, points_path, output, ref_override):
     """Track csv points (x,y per line) through a flow; emits x,y,valid."""
-    field = load(flow_path, ref_override)
+    field = load_flow(flow_path, ref_override)
     rows = []
     with open(points_path) as fh:
         for line in fh:
@@ -251,7 +247,7 @@ def track_cmd(flow_path, points_path, output, ref_override):
 @ref_option
 def viz_cmd(flow_path, style, stride, max_magnitude, output, ref_override):
     """Render a flow as a color-wheel or arrow image."""
-    field = load(flow_path, ref_override)
+    field = load_flow(flow_path, ref_override)
     if style == "wheel":
         image = render_colorwheel(field, max_magnitude)
     else:
@@ -264,7 +260,7 @@ def viz_cmd(flow_path, style, stride, max_magnitude, output, ref_override):
 @ref_option
 def fit_matrix_cmd(flow_path, ref_override):
     """Print the least-squares affine matrix of a flow and its RMS residual."""
-    matrix, rms = fit_matrix(load(flow_path, ref_override))
+    matrix, rms = fit_matrix(load_flow(flow_path, ref_override))
     for row in matrix.matrix:
         click.echo(" ".join(f"{v: .10g}" for v in row))
     click.echo(f"rms_residual_px={rms:.10g}")

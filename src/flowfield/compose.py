@@ -22,7 +22,7 @@ import numpy as np
 from .core import FlowError, FlowField, Reference
 from .ops import apply, invert, switch_reference
 
-__all__ = ["ComposeMode", "combine", "combine_fast_mode3_target"]
+__all__ = ["ComposeMode", "combine"]
 
 
 class ComposeMode(enum.IntEnum):
@@ -111,10 +111,11 @@ def combine(
 
     bc_vectors = f_bc.masked_vectors()
     bc_mask = f_bc.mask
+    # The flow that carries B's grid onto A's.
+    warp = invert(f_ab) if ab_span[0] == a else f_ab
     anchored_at_a = _anchor_time(f_ab, ab_span) == a
     if anchored_at_a:
         # Move the B-anchored operand onto A's grid before adding.
-        warp = invert(f_ab) if ab_span[0] == a else f_ab
         bc_vectors, bc_mask = apply(warp, bc_vectors, data_mask=bc_mask)
 
     vectors = sign_ab * f_ab.masked_vectors() + sign_bc * bc_vectors
@@ -122,26 +123,8 @@ def combine(
 
     if not anchored_at_a:
         # The sum still sits on B's grid; move it onto A's.
-        warp = invert(f_ab) if ab_span[0] == a else f_ab
         vectors, mask = apply(warp, vectors, data_mask=mask)
 
     vectors = np.where(mask[..., None], vectors, 0.0)
     return FlowField(vectors, out_ref, mask)
 
-
-def combine_fast_mode3_target(f12: FlowField, f23: FlowField) -> FlowField:
-    """Mode-3 composition shortcut for two target-reference flows.
-
-    The flow 1->3 in target reference is the flow 2->3 plus the flow 1->2
-    warped by the flow 2->3. Matches the general `combine` bit for bit,
-    since the general route reduces to these same two steps.
-    """
-    if f12.reference is not Reference.TARGET or f23.reference is not Reference.TARGET:
-        raise FlowError("both flows must be in target reference")
-    if f12.shape != f23.shape:
-        raise FlowError(f"flow dims differ: {f12.shape} vs {f23.shape}")
-    warped, warped_mask = apply(f23, f12.masked_vectors(), data_mask=f12.mask)
-    vectors = f23.masked_vectors() + warped
-    mask = f23.mask & warped_mask
-    vectors = np.where(mask[..., None], vectors, 0.0)
-    return FlowField(vectors, Reference.TARGET, mask)

@@ -84,7 +84,11 @@ class Padding:
     def __post_init__(self):
         for name in ("top", "bottom", "left", "right"):
             value = getattr(self, name)
-            if int(value) != value or value < 0:
+            try:
+                whole = int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole or value < 0:
                 raise FlowError(f"padding {name} must be a non-negative integer, got {value!r}")
             object.__setattr__(self, name, int(value))
 
@@ -405,8 +409,8 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     from .interp import masked_bilinear_sample
 
     sy, sx = float(scale[0]), float(scale[1])
-    if sy <= 0 or sx <= 0:
-        raise FlowError(f"scale factors must be positive, got {(sy, sx)}")
+    if not (0 < sy < np.inf and 0 < sx < np.inf):
+        raise FlowError(f"scale factors must be positive and finite, got {(sy, sx)}")
     h, w = field.shape
     new_h, new_w = round(h * sy), round(w * sx)
     if new_h < 1 or new_w < 1:

@@ -7,16 +7,13 @@ distributed over the four surrounding cells with the standard bilinear
 corner weights, and every cell is finally divided by its accumulated
 weight).
 
-Both kernels are sequential and deterministic; the FLOWFIELD_DETERMINISTIC
-environment variable is honored trivially. Accumulation happens in double
-precision regardless of input dtype, since division by small weight sums is
-the dominant error source.
+Both kernels are sequential and always deterministic, so a fixed seed pins
+`verify-compose` byte for byte. Accumulation happens in double precision
+regardless of input dtype, since division by small weight sums is the
+dominant error source.
 """
 
 from __future__ import annotations
-
-import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +23,9 @@ __all__ = [
     "DEFAULT_WEIGHT_THRESHOLD",
     "MASK_SAMPLE_THRESHOLD",
     "OUT_OF_BOUNDS_TOL",
-    "ScatterSample",
     "bilinear_sample",
-    "deterministic_mode",
     "grid_from_unstructured_data",
     "masked_bilinear_sample",
-    "splat_samples",
 ]
 
 # A cell touched only by vanishing weight tails carries amplified noise after
@@ -43,37 +37,6 @@ OUT_OF_BOUNDS_TOL = 1e-9
 
 # Sampled boolean data counts as set when the valid blend weight reaches 1/2.
 MASK_SAMPLE_THRESHOLD = 0.5
-
-
-def deterministic_mode() -> bool:
-    """Whether FLOWFIELD_DETERMINISTIC=1 requests sequential kernels.
-
-    The kernels in this module are sequential and bit-reproducible either
-    way; a parallel implementation would have to consult this flag.
-    """
-    return os.environ.get("FLOWFIELD_DETERMINISTIC", "") == "1"
-
-
-@dataclass(frozen=True)
-class ScatterSample:
-    """One unstructured data point: a continuous position with a value."""
-
-    position: tuple[float, float]
-    value: tuple[float, ...]
-    weight_scale: float = 1.0
-
-    def __post_init__(self):
-        pos = tuple(float(v) for v in self.position)
-        if len(pos) != 2 or not all(np.isfinite(pos)):
-            raise FlowError(f"sample position must be finite (x, y), got {self.position!r}")
-        val = np.atleast_1d(np.asarray(self.value, dtype=np.float64))
-        if val.ndim != 1 or not np.all(np.isfinite(val)):
-            raise FlowError(f"sample value must be a finite vector, got {self.value!r}")
-        if not np.isfinite(self.weight_scale) or self.weight_scale < 0:
-            raise FlowError(f"weight_scale must be non-negative, got {self.weight_scale!r}")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "value", tuple(float(v) for v in val))
-        object.__setattr__(self, "weight_scale", float(self.weight_scale))
 
 
 def _channels_last(grid: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -190,12 +153,13 @@ def grid_from_unstructured_data(
     Parameters
     ----------
     positions : array_like, shape (N, 2)
-        Continuous (x, y) sample positions. Samples outside the retention
-        band [-1, W] x [-1, H] are dropped (they cannot touch the grid).
-    values : array_like, shape (N,) or (N, C)
+        Finite continuous (x, y) sample positions. Samples outside the
+        retention band [-1, W] x [-1, H] are dropped (they cannot touch
+        the grid).
+    values : array_like, shape (N,) or (N, C), finite
     shape : (H, W) of the output grid
     weight_scale : array_like, shape (N,), optional
-        Non-negative per-sample weight multipliers; default all-one.
+        Finite non-negative per-sample weight multipliers; default all-one.
     weight_threshold : float
         Strict lower bound on the accumulated weight of a valid cell.
 
@@ -214,12 +178,16 @@ def grid_from_unstructured_data(
         pts = pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise FlowError(f"positions must have shape (N, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise FlowError("positions must be finite")
     vals = np.asarray(values, dtype=np.float64)
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
     if vals.ndim != 2 or vals.shape[0] != pts.shape[0]:
         raise FlowError(f"values shape {vals.shape} does not match {pts.shape[0]} positions")
+    if not np.isfinite(vals).all():
+        raise FlowError("values must be finite")
     n_channels = vals.shape[1]
 
     if weight_scale is None:
@@ -228,8 +196,8 @@ def grid_from_unstructured_data(
         scale = np.asarray(weight_scale, dtype=np.float64)
         if scale.shape != (pts.shape[0],):
             raise FlowError(f"weight_scale shape {scale.shape} does not match positions")
-        if not np.all(scale >= 0):
-            raise FlowError("weight_scale entries must be non-negative")
+        if not np.all(np.isfinite(scale) & (scale >= 0)):
+            raise FlowError("weight_scale entries must be finite and non-negative")
 
     x, y = pts[:, 0], pts[:, 1]
     keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
@@ -270,32 +238,3 @@ def grid_from_unstructured_data(
         out = out[..., 0]
     return out, mask.reshape(h, w)
 
-
-def splat_samples(
-    samples,
-    shape: tuple[int, int],
-    channels: int | None = None,
-    weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-):
-    """`grid_from_unstructured_data` for a sequence of ScatterSample objects.
-
-    `channels` is only needed to size the output when `samples` is empty;
-    otherwise it must match the samples' value length.
-    """
-    samples = list(samples)
-    if samples:
-        widths = {len(s.value) for s in samples}
-        if len(widths) > 1:
-            raise FlowError(f"samples carry inconsistent value lengths {sorted(widths)}")
-        n_channels = widths.pop()
-        if channels is not None and channels != n_channels:
-            raise FlowError(f"channels={channels} does not match sample values of length {n_channels}")
-        positions = np.array([s.position for s in samples], dtype=np.float64)
-        values = np.array([s.value for s in samples], dtype=np.float64)
-        scale = np.array([s.weight_scale for s in samples], dtype=np.float64)
-    else:
-        n_channels = 1 if channels is None else int(channels)
-        positions = np.zeros((0, 2))
-        values = np.zeros((0, n_channels))
-        scale = np.zeros(0)
-    return grid_from_unstructured_data(positions, values, shape, scale, weight_threshold)

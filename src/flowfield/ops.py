@@ -26,6 +26,7 @@ from .core import (
 from .interp import (
     DEFAULT_WEIGHT_THRESHOLD,
     OUT_OF_BOUNDS_TOL,
+    _channels_last,
     grid_from_unstructured_data,
     masked_bilinear_sample,
 )
@@ -41,13 +42,6 @@ __all__ = [
     "valid_source",
     "valid_target",
 ]
-
-def _channelled(data: np.ndarray) -> tuple[np.ndarray, bool]:
-    if data.ndim == 2:
-        return data[..., None], True
-    if data.ndim == 3:
-        return data, False
-    raise FlowError(f"data must have shape (H, W) or (H, W, C), got {data.shape}")
 
 
 def apply(
@@ -83,7 +77,7 @@ def apply(
         False where the output is undefined; such cells are zero.
     """
     arr = np.asarray(data, dtype=np.float64)
-    arr, squeeze = _channelled(arr)
+    arr, squeeze = _channels_last(arr)
     h, w = field.shape
     if arr.shape[:2] != (h, w):
         raise FlowError(f"data dims {arr.shape[:2]} do not match flow dims {(h, w)}")
@@ -136,6 +130,21 @@ def track(field: FlowField, points) -> tuple[PointSet, np.ndarray]:
     return PointSet(pts + sampled), valid
 
 
+def _carry(field: FlowField, payload: np.ndarray, reference: Reference) -> FlowField:
+    """Forward-warp `payload` by the source-reference form of `field`.
+
+    The carrier is the field itself, or its negation for a target-reference
+    field. Only valid cells of `field` emit; the result is labelled with
+    `reference`.
+    """
+    if field.reference is Reference.SOURCE:
+        carrier = field
+    else:
+        carrier = FlowField(-field.masked_vectors(), Reference.SOURCE, field.mask)
+    warped, mask = apply(carrier, payload, data_mask=field.mask)
+    return FlowField(warped, reference, mask)
+
+
 def switch_reference(field: FlowField) -> FlowField:
     """Re-express a flow in the opposite frame of reference.
 
@@ -145,12 +154,7 @@ def switch_reference(field: FlowField) -> FlowField:
     flow with negated vectors (the same motion seen from the other end).
     Uncovered cells come back mask-false.
     """
-    if field.reference is Reference.SOURCE:
-        carrier = field
-    else:
-        carrier = FlowField(-field.masked_vectors(), Reference.SOURCE, field.mask)
-    warped, mask = apply(carrier, field.masked_vectors(), data_mask=field.mask)
-    return FlowField(warped, field.reference.opposite, mask)
+    return _carry(field, field.masked_vectors(), field.reference.opposite)
 
 
 def invert(field: FlowField) -> FlowField:
@@ -160,13 +164,7 @@ def invert(field: FlowField) -> FlowField:
     vectors are carried onto the grid of the other frame, where they
     describe the reverse motion. Uncovered cells come back mask-false.
     """
-    negated = -field.masked_vectors()
-    if field.reference is Reference.SOURCE:
-        carrier = field
-    else:
-        carrier = FlowField(negated, Reference.SOURCE, field.mask)
-    warped, mask = apply(carrier, negated, data_mask=field.mask)
-    return FlowField(warped, field.reference, mask)
+    return _carry(field, -field.masked_vectors(), field.reference)
 
 
 def _endpoints_in_bounds(field: FlowField, sign: float) -> np.ndarray:

@@ -49,8 +49,8 @@ def render_colorwheel(field: FlowField, max_magnitude: float | None = None) -> n
     if max_magnitude is None:
         peak = float(magnitude[field.mask].max()) if field.mask.any() else 0.0
         max_magnitude = peak if peak > 0 else 1.0
-    elif max_magnitude <= 0:
-        raise FlowError(f"max_magnitude must be positive, got {max_magnitude}")
+    elif not 0 < max_magnitude < np.inf:
+        raise FlowError(f"max_magnitude must be positive and finite, got {max_magnitude}")
     hue = np.degrees(np.arctan2(-vec[..., 1], vec[..., 0])) % 360.0
     sat = np.clip(magnitude / max_magnitude, 0.0, 1.0)
     rgb = _hsv_to_rgb(hue, sat, np.ones_like(sat))

@@ -226,3 +226,17 @@ class TestExitCodes:
         save_flow(b, zeros((5, 4)))
         assert main(["combine", "-a", str(a), "-b", str(b), "--mode", "3",
                      "-o", str(tmp_path / "c.flo")]) == 2
+
+    def test_nan_scale_is_data_error(self, tmp_path, capsys):
+        flo = tmp_path / "f.flo"
+        save_flow(flo, zeros((4, 4)))
+        code = main(["resize", "-f", str(flo), "--scale", "nan,1", "-o",
+                     str(tmp_path / "o.flo")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: scale factors")
+
+    def test_nan_max_magnitude_is_data_error(self, tmp_path):
+        flo = tmp_path / "f.flo"
+        save_flow(flo, zeros((4, 4)))
+        assert main(["viz", "-f", str(flo), "--max-magnitude", "nan", "-o",
+                     str(tmp_path / "v.ppm")]) == 2

@@ -1,4 +1,4 @@
-"""Composition engine tests: dispatch table, oracles, fast path, masks."""
+"""Composition engine tests: dispatch table, oracles, mode-3 formula, masks."""
 
 import itertools
 
@@ -10,8 +10,8 @@ from flowfield import (
     ComposeMode,
     FlowError,
     Reference,
+    apply,
     combine,
-    combine_fast_mode3_target,
     from_matrix,
     from_transforms,
     zeros,
@@ -149,31 +149,30 @@ class TestCombineOracle:
             assert max_epe(out, truth, out.mask) < 0.5
 
 
-class TestFastMode3Target:
+class TestMode3Target:
+    # With target-reference inputs and output, mode 3 is the flow 2->3 plus
+    # the flow 1->2 backward-warped by the flow 2->3.
     def test_zero_flows(self):
-        out = combine_fast_mode3_target(zeros((5, 6), "t"), zeros((5, 6), "t"))
+        out = combine(zeros((5, 6), "t"), zeros((5, 6), "t"), 3, "t")
         assert np.allclose(out.vectors, 0.0)
         assert out.mask.all()
 
     def test_constant_flows_add(self):
         f12 = from_transforms([("translation", 3, 4)], (40, 50), "t")
         f23 = from_transforms([("translation", -1, 2)], (40, 50), "t")
-        out = combine_fast_mode3_target(f12, f23)
+        out = combine(f12, f23, 3, "t")
+        assert out.mask.any()
         assert np.allclose(out.vectors[out.mask], [2.0, 6.0], atol=1e-9)
 
-    def test_rejects_non_target_references(self):
-        with pytest.raises(FlowError):
-            combine_fast_mode3_target(zeros((4, 4), "s"), zeros((4, 4), "t"))
-
-    def test_bit_identical_to_general_combine(self, rng):
-        # For target/target inputs with target output the general engine
-        # reduces to the same two steps.
+    def test_equals_warp_then_add(self, rng):
         size = (60, 80)
         for _ in range(10):
             m12, m23, _ = trial_matrices(rng, size, 15.0)
             f12 = from_matrix(m12, size, "t")
             f23 = from_matrix(m23, size, "t")
-            fast = combine_fast_mode3_target(f12, f23)
-            general = combine(f12, f23, 3, "t")
-            assert np.array_equal(fast.vectors, general.vectors)
-            assert np.array_equal(fast.mask, general.mask)
+            warped, warped_mask = apply(f23, f12.masked_vectors(), data_mask=f12.mask)
+            mask = f23.mask & warped_mask
+            vectors = np.where(mask[..., None], f23.masked_vectors() + warped, 0.0)
+            out = combine(f12, f23, 3, "t")
+            assert np.array_equal(out.vectors, vectors)
+            assert np.array_equal(out.mask, mask)

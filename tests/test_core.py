@@ -90,6 +90,11 @@ class TestPadding:
         with pytest.raises(FlowError):
             Padding(1, -1, 0, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(FlowError):
+            Padding(bad, 0, 0, 0)
+
     def test_parse_sequence(self):
         assert Padding.parse([1, 2, 3, 4]) == Padding(1, 2, 3, 4)
         with pytest.raises(FlowError):
@@ -219,6 +224,11 @@ class TestResize:
             resize(f, (0, 1))
         with pytest.raises(FlowError):
             resize(f, (1, -2))
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1), (1, math.inf)], ids=["nan-sy", "inf-sx"])
+    def test_non_finite_scale_rejected(self, bad):
+        with pytest.raises(FlowError):
+            resize(zeros((4, 4)), bad)
 
     def test_affine_flow_resamples_consistently(self):
         # Doubling the grid of an affine flow halves nothing: the resized

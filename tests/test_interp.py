@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfield import (
-    FlowError,
-    ScatterSample,
-    bilinear_sample,
-    grid_from_unstructured_data,
-    splat_samples,
-)
+from flowfield import FlowError, bilinear_sample, grid_from_unstructured_data
 from flowfield.interp import masked_bilinear_sample
 
 from conftest import splat_bruteforce
@@ -160,31 +154,28 @@ class TestSplat:
         assert np.allclose(got, want, atol=1e-6)
 
 
-class TestScatterSample:
-    def test_validation(self):
+class TestSplatInputContract:
+    # Non-finite input used to land NaN in mask-true cells (values, weight
+    # scales) or be dropped silently (positions); it is rejected instead.
+    @pytest.mark.parametrize(
+        "positions, values, weight_scale",
+        [
+            ([[np.nan, 0.0]], [1.0], None),
+            ([[0.0, 0.0]], [np.nan], None),
+            ([[0.0, 0.0]], [1.0], [np.inf]),
+            ([[0.0, 0.0]], [1.0], [-1.0]),
+        ],
+        ids=["nan-position", "nan-value", "inf-weight-scale", "negative-weight-scale"],
+    )
+    def test_bad_samples_rejected(self, positions, values, weight_scale):
         with pytest.raises(FlowError):
-            ScatterSample((np.nan, 0.0), (1.0,))
-        with pytest.raises(FlowError):
-            ScatterSample((0.0, 0.0), (1.0,), weight_scale=-1.0)
+            grid_from_unstructured_data(positions, values, (2, 2), weight_scale)
 
-    def test_splat_samples_matches_array_call(self):
-        samples = [
-            ScatterSample((0.5, 0.5), (1.0, 2.0)),
-            ScatterSample((1.0, 0.0), (3.0, 4.0), weight_scale=0.5),
-        ]
-        grid_a, mask_a = splat_samples(samples, (2, 2))
-        grid_b, mask_b = grid_from_unstructured_data(
-            [[0.5, 0.5], [1.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]], (2, 2), [1.0, 0.5]
-        )
-        assert np.array_equal(grid_a, grid_b)
-        assert np.array_equal(mask_a, mask_b)
-
-    def test_empty_samples_need_channels_only_for_shape(self):
-        grid, mask = splat_samples([], (2, 3), channels=4)
+    def test_zero_samples_keep_channel_count(self):
+        grid, mask = grid_from_unstructured_data(np.zeros((0, 2)), np.zeros((0, 4)), (2, 3))
         assert grid.shape == (2, 3, 4)
         assert not mask.any()
 
-    def test_inconsistent_value_lengths_rejected(self):
-        samples = [ScatterSample((0, 0), (1.0,)), ScatterSample((1, 1), (1.0, 2.0))]
+    def test_value_rows_must_match_positions(self):
         with pytest.raises(FlowError):
-            splat_samples(samples, (2, 2))
+            grid_from_unstructured_data([[0.0, 0.0], [1.0, 1.0]], [[1.0, 2.0]], (2, 2))

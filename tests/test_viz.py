@@ -54,6 +54,11 @@ class TestColorwheel:
         with pytest.raises(FlowError):
             render_colorwheel(zeros((2, 2)), max_magnitude=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_max_magnitude_rejected(self, bad):
+        with pytest.raises(FlowError):
+            render_colorwheel(zeros((2, 2)), max_magnitude=bad)
+
     def test_every_pixel_valid_rgb_and_dims_match(self, rng):
         vec = rng.normal(scale=3.0, size=(7, 9, 2))
         img = render_colorwheel(FlowField(vec, "t"))
