@@ -296,6 +296,23 @@ class FlowField:
         self._reference = ref
         self._mask = m
 
+    @classmethod
+    def _trusted(cls, vectors: np.ndarray, reference: Reference, mask: np.ndarray) -> "FlowField":
+        """Adopt freshly allocated kernel output without a copy or a scan.
+
+        The caller guarantees what the public constructor checks: float64
+        (H, W, 2) vectors, a bool mask of the same grid and finite vectors
+        on valid cells; and that no writable reference to either array
+        remains elsewhere. Both arrays are made read-only.
+        """
+        vectors.flags.writeable = False
+        mask.flags.writeable = False
+        field = cls.__new__(cls)
+        field._vectors = vectors
+        field._reference = reference
+        field._mask = mask
+        return field
+
     @property
     def vectors(self) -> np.ndarray:
         """(H, W, 2) read-only displacement array, channels (x, y)."""

@@ -11,6 +11,12 @@ Both kernels are sequential and always deterministic, so a fixed seed pins
 `verify-compose` byte for byte. Accumulation happens in double precision
 regardless of input dtype, since division by small weight sums is the
 dominant error source.
+
+The splat sums into one accumulator with a row for the weight and one per
+channel, over the grid plus a border (one cell before, two after) wide
+enough for every corner of a retained sample, so no corner is masked. The
+summation order is unchanged from a per-corner masked loop, and so is every
+output bit.
 """
 
 from __future__ import annotations
@@ -111,6 +117,8 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     rather than a zero-diluted value. Points drawing less than half their
     blend weight from valid cells are flagged invalid, as are points
     outside the grid; values at invalid points are zero.
+
+    Data on valid cells must be finite; invalid cells may hold anything.
     """
     arr = np.asarray(data, dtype=np.float64)
     valid_cells = np.asarray(mask).astype(bool)
@@ -121,6 +129,8 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
         clean = arr
     else:
         clean = np.where(valid_cells if arr.ndim == 2 else valid_cells[..., None], arr, 0.0)
+    if not np.isfinite(clean).all():
+        raise FlowError("data must be finite on valid cells")
     values, in_bounds = bilinear_sample(clean, points)
     if all_valid:
         valid = in_bounds
@@ -149,6 +159,12 @@ def grid_from_unstructured_data(
     Cells whose accumulated weight exceeds `weight_threshold` hold the
     weighted mean of their contributions; all other cells are zero with a
     false mask bit.
+
+    The sums run over an accumulator padded so that every corner of a
+    retained sample lands inside it, so no corner is masked. Each cell sums
+    its contributions corner by corner, (0, 0), (1, 0), (0, 1), (1, 1), and
+    within a corner in sample order: the summation order, and with it every
+    output bit, is that of masking each corner in turn.
 
     Parameters
     ----------
@@ -190,9 +206,8 @@ def grid_from_unstructured_data(
         raise FlowError("values must be finite")
     n_channels = vals.shape[1]
 
-    if weight_scale is None:
-        scale = np.ones(pts.shape[0], dtype=np.float64)
-    else:
+    scale = None
+    if weight_scale is not None:
         scale = np.asarray(weight_scale, dtype=np.float64)
         if scale.shape != (pts.shape[0],):
             raise FlowError(f"weight_scale shape {scale.shape} does not match positions")
@@ -202,39 +217,42 @@ def grid_from_unstructured_data(
     x, y = pts[:, 0], pts[:, 1]
     keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
     if not np.all(keep):
-        x, y, vals, scale = x[keep], y[keep], vals[keep], scale[keep]
+        x, y, vals = x[keep], y[keep], vals[keep]
+        if scale is not None:
+            scale = scale[keep]
 
+    # A kept sample's corners span [-1, W+1] x [-1, H+1]; a border of one
+    # cell below and two above holds them all, so no corner needs a test.
+    pw = w + 3
+    n_cells = (h + 3) * pw
     x0 = np.floor(x).astype(np.intp)
     y0 = np.floor(y).astype(np.intp)
     fx = x - x0
     fy = y - y0
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    base = (y0 + 1) * pw + (x0 + 1)
 
-    weight_acc = np.zeros(h * w, dtype=np.float64)
-    value_acc = np.zeros((h * w, n_channels), dtype=np.float64)
-    for dx, dy, corner_w in (
-        (0, 0, (1.0 - fx) * (1.0 - fy)),
-        (1, 0, fx * (1.0 - fy)),
-        (0, 1, (1.0 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        cx = x0 + dx
-        cy = y0 + dy
-        inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        if not np.any(inside):
-            continue
-        lin = cy[inside] * w + cx[inside]
-        contrib = corner_w[inside] * scale[inside]
-        weight_acc += np.bincount(lin, weights=contrib, minlength=h * w)
+    # Row 0 accumulates weight, row 1 + c the weighted channel c. Keep one
+    # bincount per corner and row: a single bincount over all four corners
+    # would reorder each cell's sum and change output bits.
+    acc = np.zeros((1 + n_channels, n_cells), dtype=np.float64)
+    for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (pw, gx, fy), (pw + 1, fx, fy)):
+        lin = base + offset
+        contrib = wx * wy
+        if scale is not None:
+            contrib *= scale
+        acc[0] += np.bincount(lin, weights=contrib, minlength=n_cells)
         for c in range(n_channels):
-            value_acc[:, c] += np.bincount(
-                lin, weights=contrib * vals[inside, c], minlength=h * w
-            )
+            acc[1 + c] += np.bincount(lin, weights=contrib * vals[:, c], minlength=n_cells)
 
-    mask = weight_acc > weight_threshold
-    out = np.zeros((h * w, n_channels), dtype=np.float64)
-    np.divide(value_acc, weight_acc[:, None], out=out, where=mask[:, None])
-    out = out.reshape(h, w, n_channels)
+    interior = acc.reshape(1 + n_channels, h + 3, pw)[:, 1 : h + 1, 1 : w + 1]
+    weight = interior[0]
+    mask = weight > weight_threshold
+    out = np.zeros((h, w, n_channels), dtype=np.float64)
+    np.divide(
+        interior[1:].transpose(1, 2, 0), weight[..., None], out=out, where=mask[..., None]
+    )
     if squeeze:
         out = out[..., 0]
-    return out, mask.reshape(h, w)
-
+    return out, mask

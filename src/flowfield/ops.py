@@ -88,17 +88,21 @@ def apply(
         if dmask.shape != (h, w):
             raise FlowError(f"data_mask shape {dmask.shape} does not match flow dims {(h, w)}")
 
+    # Endpoints are formed in place on the fresh grid to save one grid-sized
+    # array at the peak of the warp.
     grid = grid_coordinates((h, w))
 
     if field.reference is Reference.SOURCE:
         emit = field.mask if dmask is None else (field.mask & dmask)
-        positions = (grid + field.vectors)[emit]
+        grid += field.vectors
+        positions = grid[emit]
         values = arr[emit]
         warped, mask = grid_from_unstructured_data(
             positions, values, (h, w), weight_threshold=weight_threshold
         )
     else:
-        points = (grid - field.masked_vectors()).reshape(-1, 2)
+        grid -= field.masked_vectors()
+        points = grid.reshape(-1, 2)
         dmask_full = np.ones((h, w), dtype=bool) if dmask is None else dmask
         values, valid = masked_bilinear_sample(arr, dmask_full, points)
         mask = valid.reshape(h, w) & field.mask
@@ -140,9 +144,9 @@ def _carry(field: FlowField, payload: np.ndarray, reference: Reference) -> FlowF
     if field.reference is Reference.SOURCE:
         carrier = field
     else:
-        carrier = FlowField(-field.masked_vectors(), Reference.SOURCE, field.mask)
+        carrier = FlowField._trusted(-field.masked_vectors(), Reference.SOURCE, field.mask)
     warped, mask = apply(carrier, payload, data_mask=field.mask)
-    return FlowField(warped, reference, mask)
+    return FlowField._trusted(warped, reference, mask)
 
 
 def switch_reference(field: FlowField) -> FlowField:

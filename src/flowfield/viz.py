@@ -59,21 +59,48 @@ def render_colorwheel(field: FlowField, max_magnitude: float | None = None) -> n
 
 
 def _draw_line(image: np.ndarray, x0: int, y0: int, x1: int, y1: int, color) -> None:
-    """Bresenham raster of a line segment, clipped to the image."""
+    """Bresenham raster of a line segment, clipped to the image.
+
+    Step n of the walk from (x0, y0) sits at offset
+    (2 * d * n + steps) // (2 * steps) along an axis the segment spans by
+    d, where steps is the larger span. Both offsets grow with n, so the
+    in-image steps form one run; its ends are found by clipping the step
+    index against the four image edges (Liang-Barsky in integers), and the
+    walk covers that run alone. Its cost is bounded by the image, not by
+    the segment length.
+    """
     h, w = image.shape[:2]
-    dx, dy = abs(x1 - x0), -abs(y1 - y0)
+    dx, dy = abs(x1 - x0), abs(y1 - y0)
     sx = 1 if x0 < x1 else -1
     sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    x, y = x0, y0
-    while True:
-        if 0 <= x < w and 0 <= y < h:
-            image[y, x] = color
-        if x == x1 and y == y1:
-            break
+    steps = max(dx, dy)
+    first, last = 0, steps
+    if not (0 <= x0 < w and 0 <= y0 < h and 0 <= x1 < w and 0 <= y1 < h):
+        for start, span, sign, size in ((x0, dx, sx, w), (y0, dy, sy, h)):
+            # Offsets k with start + sign * k inside [0, size) are lo..hi; step
+            # n's offset is >= lo from n >= steps * (2 * lo - 1) / (2 * span)
+            # and <= hi up to n <= (steps * (2 * hi + 1) - 1) / (2 * span).
+            lo, hi = (-start, size - 1 - start) if sign > 0 else (start - size + 1, start)
+            if span == 0:
+                if not lo <= 0 <= hi:
+                    return
+                continue
+            first = max(first, -((steps * (1 - 2 * lo)) // (2 * span)))
+            last = min(last, (steps * (2 * hi + 1) - 1) // (2 * span))
+        if first > last:
+            return
+    x, y, err = x0, y0, dx - dy
+    if first:
+        # Jump to step `first`: kx unit steps in x and ky in y so far.
+        kx = (2 * dx * first + steps) // (2 * steps)
+        ky = (2 * dy * first + steps) // (2 * steps)
+        x, y = x0 + sx * kx, y0 + sy * ky
+        err += ky * dx - kx * dy
+    for _ in range(last - first + 1):
+        image[y, x] = color
         e2 = 2 * err
-        if e2 >= dy:
-            err += dy
+        if e2 >= -dy:
+            err -= dy
             x += sx
         if e2 <= dx:
             err += dx

@@ -47,6 +47,17 @@ def splat_bruteforce(positions, values, shape, weight_scale=None, weight_thresho
     return out, mask
 
 
+def assert_fresh_output(out, *inputs):
+    """The data-model invariants a kernel output is built on without checks."""
+    assert np.all(out.vectors[~out.mask] == 0.0)
+    assert np.isfinite(out.vectors[out.mask]).all()
+    assert not out.vectors.flags.writeable and not out.mask.flags.writeable
+    for field in inputs:
+        for mine in (out.vectors, out.mask):
+            for theirs in (field.vectors, field.mask):
+                assert not np.shares_memory(mine, theirs)
+
+
 def mean_epe(field_a: FlowField, field_b: FlowField, mask=None) -> float:
     """Mean endpoint error between two co-anchored flows on a mask."""
     if mask is None:

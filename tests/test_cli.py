@@ -235,6 +235,22 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: scale factors")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_flo_apply_is_data_error(self, tmp_path, capsys, bad):
+        # Pixmaps hold only uint8, so the CLI's non-finite input to a
+        # target-reference apply can come only from the .flo file.
+        flo = tmp_path / "f.flo"
+        save_flow(flo, zeros((4, 5), "t"))
+        blob = bytearray(flo.read_bytes())
+        blob[12:16] = np.float32(bad).tobytes()
+        flo.write_bytes(bytes(blob))
+        img = tmp_path / "in.ppm"
+        write_image(img, np.zeros((4, 5, 3), dtype=np.uint8))
+        code = main(["apply", "-f", str(flo), "-i", str(img), "-o",
+                     str(tmp_path / "out.ppm")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: non-finite")
+
     def test_nan_max_magnitude_is_data_error(self, tmp_path):
         flo = tmp_path / "f.flo"
         save_flow(flo, zeros((4, 4)))

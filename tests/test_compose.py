@@ -9,6 +9,7 @@ from flowfield import (
     AffineTransform,
     ComposeMode,
     FlowError,
+    FlowField,
     Reference,
     apply,
     combine,
@@ -19,7 +20,7 @@ from flowfield import (
 from flowfield.compose import _abc_times
 from flowfield.verify import trial_matrices
 
-from conftest import mean_epe, max_epe
+from conftest import assert_fresh_output, mean_epe, max_epe
 
 
 def known_flows(mode, m12, m23, m13):
@@ -176,3 +177,45 @@ class TestMode3Target:
             out = combine(f12, f23, 3, "t")
             assert np.array_equal(out.vectors, vectors)
             assert np.array_equal(out.mask, mask)
+
+
+BRANCHES = [
+    (mode, *refs) for mode in (1, 2, 3) for refs in itertools.product("st", "st", "st")
+]
+
+
+class TestCombineOutputInvariants:
+    @pytest.mark.parametrize("valid_share", [0.8, 1.0])
+    @pytest.mark.parametrize("mode, ref1, ref2, out_ref", BRANCHES)
+    def test_kernel_output(self, mode, ref1, ref2, out_ref, valid_share, rng):
+        size = (40, 50)
+        matrices, _ = known_flows(mode, *trial_matrices(rng, size, 8.0))
+        fields = []
+        for matrix, ref in zip(matrices, (ref1, ref2)):
+            vectors = from_matrix(matrix, size, ref).vectors.copy()
+            mask = rng.uniform(size=size) < valid_share
+            vectors[~mask] = np.nan  # unconstrained under a false mask bit
+            fields.append(FlowField(vectors, ref, mask))
+        out = combine(*fields, mode, out_ref)
+        assert out.mask.any()
+        assert_fresh_output(out, *fields)
+
+    @pytest.mark.parametrize("mode, ref1, ref2, out_ref", BRANCHES)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_vectors_raise_or_stay_finite(self, mode, ref1, ref2, out_ref):
+        # Finite vectors near the float64 limit can overflow when added or
+        # splatted; the overflow must raise, not reach a valid cell.
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            fields = []
+            for ref in (ref1, ref2):
+                vectors = rng.uniform(-2.0, 2.0, size=(6, 7, 2))
+                huge = rng.uniform(size=(6, 7)) < 0.3
+                vectors[huge] = 1e308 * rng.choice([-1.0, 1.0], size=(huge.sum(), 2))
+                fields.append(FlowField(vectors, ref))
+            first, second = fields
+            try:
+                out = combine(first, second, mode, out_ref)
+            except FlowError:
+                continue
+            assert_fresh_output(out, first, second)

@@ -55,11 +55,16 @@ class TestFlowField:
 
     def test_immutable_after_construction(self):
         vec = np.zeros((2, 2, 2))
-        f = FlowField(vec, "s")
+        mask = np.ones((2, 2), dtype=bool)
+        f = FlowField(vec, "s", mask)
         with pytest.raises(ValueError):
             f.vectors[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            f.mask[0, 0] = False
         vec[0, 0, 0] = 5.0  # caller-side edits do not leak in
-        assert f.vectors[0, 0, 0] == 0.0
+        mask[0, 0] = False
+        assert f.vectors[0, 0, 0] == 0.0 and f.mask[0, 0]
+        assert vec.flags.writeable and mask.flags.writeable
 
     def test_nan_under_false_mask_accepted(self):
         vec = np.zeros((2, 3, 2))

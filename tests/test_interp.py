@@ -11,6 +11,59 @@ from flowfield.interp import masked_bilinear_sample
 from conftest import splat_bruteforce
 
 
+def splat_four_pass(positions, values, shape, weight_scale=None, weight_threshold=1e-3):
+    """The splat as one masked pass per corner into unpadded accumulators.
+
+    Kept as the bit-for-bit oracle of `grid_from_unstructured_data`: both
+    add the same per-corner bincounts to each cell in the same order.
+    """
+    h, w = shape
+    pts = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
+    vals = np.asarray(values, dtype=np.float64)
+    squeeze = vals.ndim == 1
+    if squeeze:
+        vals = vals[:, None]
+    n_channels = vals.shape[1]
+    if weight_scale is None:
+        scale = np.ones(pts.shape[0])
+    else:
+        scale = np.asarray(weight_scale, dtype=np.float64)
+    x, y = pts[:, 0], pts[:, 1]
+    keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
+    x, y, vals, scale = x[keep], y[keep], vals[keep], scale[keep]
+    x0 = np.floor(x).astype(np.intp)
+    y0 = np.floor(y).astype(np.intp)
+    fx = x - x0
+    fy = y - y0
+    weight_acc = np.zeros(h * w)
+    value_acc = np.zeros((h * w, n_channels))
+    for dx, dy, corner_w in (
+        (0, 0, (1.0 - fx) * (1.0 - fy)),
+        (1, 0, fx * (1.0 - fy)),
+        (0, 1, (1.0 - fx) * fy),
+        (1, 1, fx * fy),
+    ):
+        cx = x0 + dx
+        cy = y0 + dy
+        inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        if not np.any(inside):
+            continue
+        lin = cy[inside] * w + cx[inside]
+        contrib = corner_w[inside] * scale[inside]
+        weight_acc += np.bincount(lin, weights=contrib, minlength=h * w)
+        for c in range(n_channels):
+            value_acc[:, c] += np.bincount(
+                lin, weights=contrib * vals[inside, c], minlength=h * w
+            )
+    mask = weight_acc > weight_threshold
+    out = np.zeros((h * w, n_channels))
+    np.divide(value_acc, weight_acc[:, None], out=out, where=mask[:, None])
+    out = out.reshape(h, w, n_channels)
+    if squeeze:
+        out = out[..., 0]
+    return out, mask.reshape(h, w)
+
+
 class TestBilinearSample:
     def test_constant_grid_everywhere(self):
         grid = np.full((3, 5), 7.0)
@@ -179,3 +232,68 @@ class TestSplatInputContract:
     def test_value_rows_must_match_positions(self):
         with pytest.raises(FlowError):
             grid_from_unstructured_data([[0.0, 0.0], [1.0, 1.0]], [[1.0, 2.0]], (2, 2))
+
+
+def _edge_case(name):
+    """(positions, values, shape, weight_scale) for one splat edge case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "band-edges":
+        h, w = 4, 6
+        positions = [
+            [-1.0, 1.5], [w, 2.25], [2.5, -1.0], [3.75, h],
+            [-1.0, -1.0], [w, h], [-1.0, h], [w, -1.0],
+            [-0.5, 1.0], [w - 0.5, h - 0.25],
+        ]
+        return positions, rng.normal(size=(len(positions), 2)), (h, w), None
+    if name in ("1x1", "1xW"):
+        shape = (1, 1) if name == "1x1" else (1, 7)
+        positions = rng.uniform(-1.5, shape[1] + 0.5, size=(30, 2))
+        positions[:, 1] = rng.uniform(-1.5, 1.5, size=30)
+        return positions, rng.normal(size=(30, 2)), shape, None
+    if name == "none-kept":
+        positions = [[-1.5, 0.0], [0.0, -1.0 - 1e-12], [9.0, 0.0], [2.0, 5.5]]
+        return positions, rng.normal(size=(4, 2)), (5, 8), None
+    if name == "dropped-and-kept":
+        positions = rng.uniform(-4.0, 12.0, size=(200, 2))
+        return positions, rng.normal(size=(200, 2)), (6, 9), None
+    if name == "zero-weight-scales":
+        positions = rng.uniform(-1.0, 6.0, size=(60, 2))
+        scale = rng.uniform(0.0, 2.0, size=60)
+        scale[::3] = 0.0
+        return positions, rng.normal(size=(60, 2)), (6, 6), scale
+    channels = {"C=1": None, "C=4": 4}[name]
+    positions = rng.uniform(-1.0, 7.0, size=(80, 2))
+    values = rng.normal(size=80 if channels is None else (80, channels))
+    return positions, values, (6, 7), rng.uniform(0.0, 2.0, size=80)
+
+
+class TestSplatEdgeCases:
+    @pytest.mark.parametrize(
+        "name",
+        ["band-edges", "1x1", "1xW", "none-kept", "dropped-and-kept",
+         "zero-weight-scales", "C=1", "C=4"],
+    )
+    def test_matches_oracles(self, name):
+        positions, values, shape, scale = _edge_case(name)
+        got, got_mask = grid_from_unstructured_data(positions, values, shape, scale)
+        old, old_mask = splat_four_pass(positions, values, shape, scale)
+        want, want_mask = splat_bruteforce(positions, values, shape, scale)
+        assert got.shape == old.shape == want.shape
+        assert np.array_equal(got_mask, old_mask)
+        assert got.tobytes() == old.tobytes()
+        assert np.array_equal(got_mask, want_mask)
+        assert np.allclose(got, want, atol=1e-12)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_four_pass_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        n = int(rng.integers(0, 80))
+        positions = rng.uniform((-2.0, -2.0), (w + 1.0, h + 1.0), size=(n, 2))
+        values = rng.normal(size=(n, int(rng.integers(1, 5))))
+        scale = None if rng.integers(2) else rng.uniform(0.0, 2.0, size=n)
+        got, got_mask = grid_from_unstructured_data(positions, values, (h, w), scale)
+        old, old_mask = splat_four_pass(positions, values, (h, w), scale)
+        assert np.array_equal(got_mask, old_mask)
+        assert got.tobytes() == old.tobytes()

@@ -23,7 +23,7 @@ from flowfield import (
     zeros,
 )
 
-from conftest import mean_epe, random_affine_flow
+from conftest import assert_fresh_output, mean_epe, random_affine_flow
 
 
 def constant_flow(shape, vx, vy, ref):
@@ -71,6 +71,17 @@ class TestApply:
             two, mask_j = apply(f, j)
             joint = mask_both & mask_i & mask_j
             assert np.allclose((one + two)[joint], both[joint], atol=1e-4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_target_non_finite_data_on_valid_cells_rejected(self, bad):
+        data = np.ones((4, 5, 3))
+        data[1, 2, 0] = bad
+        with pytest.raises(FlowError):
+            apply(zeros((4, 5), "t"), data)
+        dmask = np.ones((4, 5), dtype=bool)
+        dmask[1, 2] = False
+        warped, mask = apply(zeros((4, 5), "t"), data, dmask)
+        assert np.isfinite(warped).all() and not mask[1, 2]
 
     def test_flow_mask_limits_output(self):
         f = FlowField(np.zeros((1, 4, 2)), "t", np.array([[True, False, True, True]]))
@@ -161,6 +172,21 @@ class TestSwitchReference:
             back = switch_reference(switch_reference(f))
             assert back.reference is f.reference
             assert mean_epe(back, f, back.mask) < 0.05
+
+
+class TestCarryOutputInvariants:
+    @pytest.mark.parametrize("valid_share", [0.8, 1.0])
+    @pytest.mark.parametrize("op", [invert, switch_reference])
+    @pytest.mark.parametrize("ref", ["s", "t"])
+    def test_kernel_output(self, op, ref, valid_share, rng):
+        flow, _ = random_affine_flow(rng, (30, 40), 6.0, ref)
+        vectors = flow.vectors.copy()
+        mask = rng.uniform(size=(30, 40)) < valid_share
+        vectors[~mask] = np.nan
+        field = FlowField(vectors, ref, mask)
+        out = op(field)
+        assert out.mask.any()
+        assert_fresh_output(out, field)
 
 
 class TestInvert:

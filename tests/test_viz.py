@@ -4,11 +4,38 @@ import numpy as np
 import pytest
 
 from flowfield import FlowError, FlowField, map_vectors, render_arrows, render_colorwheel, zeros
+from flowfield.viz import _draw_line
 
 
 def constant_flow(shape, vx, vy, ref="s", mask=None):
     vec = np.broadcast_to(np.array([vx, vy], dtype=float), (*shape, 2)).copy()
     return FlowField(vec, ref, mask)
+
+
+def draw_line_every_step(image, x0, y0, x1, y1, color):
+    """Bresenham raster that walks every step of the segment.
+
+    Kept as the pixel oracle of `_draw_line`, which walks only the steps
+    inside the image.
+    """
+    h, w = image.shape[:2]
+    dx, dy = abs(x1 - x0), -abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    x, y = x0, y0
+    while True:
+        if 0 <= x < w and 0 <= y < h:
+            image[y, x] = color
+        if x == x1 and y == y1:
+            break
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x += sx
+        if e2 <= dx:
+            err += dx
+            y += sy
 
 
 def hue_saturation(rgb_u8):
@@ -145,3 +172,51 @@ class TestArrows:
     def test_bad_stride_rejected(self):
         with pytest.raises(FlowError):
             render_arrows(zeros((4, 4)), stride=0)
+
+
+class TestDrawLine:
+    def test_matches_every_step_walk_on_short_segments(self):
+        # Every segment between points of a window around small images.
+        coords = range(-3, 8)
+        for shape in [(1, 1), (1, 4), (3, 1), (4, 5)]:
+            for x0 in coords:
+                for y0 in coords:
+                    for x1 in coords[::2]:
+                        for y1 in coords[::2]:
+                            got = np.zeros(shape, np.uint8)
+                            want = np.zeros(shape, np.uint8)
+                            _draw_line(got, x0, y0, x1, y1, 1)
+                            draw_line_every_step(want, x0, y0, x1, y1, 1)
+                            assert np.array_equal(got, want), (shape, x0, y0, x1, y1)
+
+    def test_matches_every_step_walk_on_long_segments(self, rng):
+        # Segments of up to about 2000 px with one end near the image, so
+        # many of them enter it late or leave it early.
+        hits = 0
+        for _ in range(400):
+            h, w = int(rng.integers(1, 50)), int(rng.integers(1, 70))
+            x0, y0 = int(rng.integers(-30, w + 30)), int(rng.integers(-30, h + 30))
+            x1, y1 = (int(v) for v in rng.integers(-1000, 1000, size=2))
+            if rng.integers(2):
+                x0, y0, x1, y1 = x1 + x0, y1 + y0, x0, y0
+            else:
+                x1, y1 = x1 + x0, y1 + y0
+            got = np.zeros((h, w), np.uint8)
+            want = np.zeros((h, w), np.uint8)
+            _draw_line(got, x0, y0, x1, y1, 1)
+            draw_line_every_step(want, x0, y0, x1, y1, 1)
+            assert np.array_equal(got, want), ((h, w), x0, y0, x1, y1)
+            hits += bool(want.any())
+        assert hits > 80
+
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (1.0, 1.0)], ids=["horizontal", "diagonal"])
+    def test_huge_vector_draws_like_a_ray_just_past_the_image(self, direction):
+        shape = (30, 40)
+        mask = np.zeros(shape, dtype=bool)
+        mask[5, 7] = True
+        reach = 2 * max(shape)
+        huge, ray = (
+            constant_flow(shape, direction[0] * length, direction[1] * length, mask=mask)
+            for length in (1e12, reach)
+        )
+        assert np.array_equal(render_arrows(huge), render_arrows(ray))
