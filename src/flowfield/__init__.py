@@ -24,8 +24,8 @@ from .core import (
     unpad,
     zeros,
 )
-from .fileio import load_flow, read_flo, read_image, save_flow, write_flo, write_image, write_mask
-from .interp import DEFAULT_WEIGHT_THRESHOLD, bilinear_sample, grid_from_unstructured_data
+from .fileio import load_flow, read_image, save_flow, write_image, write_mask
+from .interp import bilinear_sample, grid_from_unstructured_data
 from .ops import (
     apply,
     fit_matrix,
@@ -46,7 +46,6 @@ __all__ = [
     "AccuracyReport",
     "AffineTransform",
     "ComposeMode",
-    "DEFAULT_WEIGHT_THRESHOLD",
     "FlowError",
     "FlowField",
     "Padding",
@@ -65,7 +64,6 @@ __all__ = [
     "load_flow",
     "map_vectors",
     "pad",
-    "read_flo",
     "read_image",
     "render_arrows",
     "render_colorwheel",
@@ -77,7 +75,6 @@ __all__ = [
     "unpad",
     "valid_source",
     "valid_target",
-    "write_flo",
     "write_image",
     "write_mask",
     "zeros",

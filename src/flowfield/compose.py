@@ -126,8 +126,8 @@ def combine(
         vectors, mask = apply(warp, vectors, data_mask=mask)
 
     vectors = np.where(mask[..., None], vectors, 0.0)
-    # Finite operands near the float64 limit can overflow when added or
-    # splatted; the unchecked constructor below relies on this scan.
+    # Finite operands near the float64 limit can overflow when added; the
+    # unchecked constructor below relies on this scan.
     if not np.isfinite(vectors).all():
         raise FlowError("composed flow vectors overflow float64")
     return FlowField._trusted(vectors, out_ref, mask)

@@ -34,6 +34,10 @@ __all__ = [
 # |det| of the upper-left 2x2 block below which a transform counts as singular.
 SINGULAR_DET_TOL = 1e-12
 
+# Largest grid a size, scale or padding may ask for (16384 x 16384 cells,
+# 4 GiB of float64 vectors); larger requests raise instead of allocating.
+MAX_CELLS = 1 << 28
+
 
 class FlowError(ValueError):
     """Raised when a flow operation is called with inconsistent data."""
@@ -347,6 +351,11 @@ class FlowField:
         return f"FlowField({h}x{w}, ref={self._reference}, valid={valid:.1f}%)"
 
 
+def _check_cells(h: int, w: int) -> None:
+    if h * w > MAX_CELLS:
+        raise FlowError(f"a {h}x{w} grid exceeds the budget of {MAX_CELLS} cells")
+
+
 def grid_coordinates(shape: tuple[int, int], padding: Padding | None = None) -> np.ndarray:
     """(H, W, 2) array of grid point coordinates, channels (x, y).
 
@@ -362,6 +371,7 @@ def grid_coordinates(shape: tuple[int, int], padding: Padding | None = None) -> 
     if padding is not None:
         padding = Padding.parse(padding)
         top, bottom, left, right = padding.top, padding.bottom, padding.left, padding.right
+    _check_cells(h + top + bottom, w + left + right)
     xs = np.arange(-left, w + right, dtype=np.float64)
     ys = np.arange(-top, h + bottom, dtype=np.float64)
     grid = np.empty((ys.size, xs.size, 2), dtype=np.float64)
@@ -373,6 +383,7 @@ def grid_coordinates(shape: tuple[int, int], padding: Padding | None = None) -> 
 def zeros(shape: tuple[int, int], reference: Reference | str = Reference.SOURCE) -> FlowField:
     """All-zero flow (the identity mapping) with an all-true mask."""
     h, w = int(shape[0]), int(shape[1])
+    _check_cells(h, w)
     return FlowField(np.zeros((h, w, 2)), reference)
 
 
@@ -432,6 +443,7 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     new_h, new_w = round(h * sy), round(w * sx)
     if new_h < 1 or new_w < 1:
         raise FlowError(f"resize to {(new_h, new_w)} would produce an empty grid")
+    _check_cells(new_h, new_w)
     if (new_h, new_w) == (h, w) and sy == 1.0 and sx == 1.0:
         return FlowField(field.vectors, field.reference, field.mask)
 
@@ -453,6 +465,7 @@ def pad(field: FlowField, padding: Padding) -> FlowField:
     """Extend the grid with zero vectors and a false mask in the border."""
     p = Padding.parse(padding)
     h, w = field.shape
+    _check_cells(h + p.top + p.bottom, w + p.left + p.right)
     vectors = np.zeros((h + p.top + p.bottom, w + p.left + p.right, 2))
     mask = np.zeros(vectors.shape[:2], dtype=bool)
     vectors[p.top : p.top + h, p.left : p.left + w] = field.vectors

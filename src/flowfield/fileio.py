@@ -6,13 +6,16 @@ float32 vectors interleaved (u = x, v = y), row-major. The format carries
 neither mask nor reference: invalid cells are written as the sentinel 1e9
 in both channels and recovered as mask-false zeros on read, while the
 reference lives in an optional one-line sidecar next to the file (same
-basename, suffix .ref, containing 's' or 't').
+basename, suffix .ref, containing 's' or 't'). `save_flow` writes both
+files and `load_flow` reads both; they are the only .flo writer and reader.
 
 Since the container is float32, a written-then-read field is bit-exact
 only for float32-representable vectors.
 
 Images are written as binary portable pixmaps: P6 for RGB, P5 for masks
 and grayscale (masks encode as 0/255).
+
+Every reader rejects malformed bytes with FlowError.
 """
 
 from __future__ import annotations
@@ -28,14 +31,10 @@ __all__ = [
     "FLO_MAGIC",
     "INVALID_SENTINEL",
     "load_flow",
-    "read_flo",
     "read_image",
-    "read_reference_sidecar",
     "save_flow",
-    "write_flo",
     "write_image",
     "write_mask",
-    "write_reference_sidecar",
 ]
 
 FLO_MAGIC = 202021.25  # float32 bytes spell "PIEH"
@@ -43,8 +42,20 @@ INVALID_SENTINEL = 1e9
 MAX_DIM = 65535
 
 
-def write_flo(path, field: FlowField) -> None:
-    """Write a flow field as a .flo file (mask via the sentinel value)."""
+def _read_sidecar(flo_path) -> Reference | None:
+    """Reference recorded next to a .flo file, or None without a sidecar."""
+    sidecar = Path(flo_path).with_suffix(".ref")
+    if not sidecar.exists():
+        return None
+    try:
+        text = sidecar.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise FlowError(f"{sidecar}: reference sidecar is not UTF-8 text") from None
+    return Reference.parse(text.strip())
+
+
+def save_flow(path, field: FlowField) -> None:
+    """Write a .flo file (mask via the sentinel value) plus its .ref sidecar."""
     h, w = field.shape
     if h > MAX_DIM or w > MAX_DIM:
         raise FlowError(f"flow dims {(h, w)} exceed the .flo limit of {MAX_DIM}")
@@ -53,14 +64,17 @@ def write_flo(path, field: FlowField) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<fii", FLO_MAGIC, w, h))
         fh.write(data.tobytes())
+    Path(path).with_suffix(".ref").write_text(f"{field.reference}\n")
 
 
-def read_flo(path, reference: Reference | str = Reference.SOURCE) -> FlowField:
+def load_flow(path, reference: Reference | str | None = None) -> FlowField:
     """Read a .flo file; sentinel cells become mask-false zero vectors.
 
-    The format does not store the reference; it defaults to source and
-    can be overridden (see also `load_flow` for sidecar handling).
+    The reference comes from `reference` if given, else from the .ref
+    sidecar if present, else it is source.
     """
+    if reference is None:
+        reference = _read_sidecar(path) or Reference.SOURCE
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) < 12:
@@ -70,46 +84,14 @@ def read_flo(path, reference: Reference | str = Reference.SOURCE) -> FlowField:
             raise FlowError(f"{path}: bad .flo magic {magic!r}")
         if not (0 < w <= MAX_DIM and 0 < h <= MAX_DIM):
             raise FlowError(f"{path}: implausible .flo dims {w}x{h}")
-        payload = fh.read(h * w * 2 * 4)
+        # Read what the file holds, not the size its header claims.
+        payload = fh.read()
     if len(payload) < h * w * 2 * 4:
         raise FlowError(f"{path}: truncated .flo payload")
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(h, w, 2).astype(np.float64)
+    vectors = np.frombuffer(payload, "<f4", h * w * 2).reshape(h, w, 2).astype(np.float64)
     mask = ~np.all(vectors == INVALID_SENTINEL, axis=2)
     vectors = np.where(mask[..., None], vectors, 0.0)
     return FlowField(vectors, Reference.parse(reference), mask)
-
-
-def _sidecar_path(flo_path) -> Path:
-    return Path(flo_path).with_suffix(".ref")
-
-
-def write_reference_sidecar(flo_path, reference: Reference | str) -> None:
-    _sidecar_path(flo_path).write_text(f"{Reference.parse(reference)}\n")
-
-
-def read_reference_sidecar(flo_path) -> Reference | None:
-    """Reference recorded next to a .flo file, or None without a sidecar."""
-    sidecar = _sidecar_path(flo_path)
-    if not sidecar.exists():
-        return None
-    return Reference.parse(sidecar.read_text().strip())
-
-
-def save_flow(path, field: FlowField) -> None:
-    """Write a .flo file plus its .ref reference sidecar."""
-    write_flo(path, field)
-    write_reference_sidecar(path, field.reference)
-
-
-def load_flow(path, reference: Reference | str | None = None) -> FlowField:
-    """Read a .flo file, taking the reference from the sidecar if present.
-
-    An explicit `reference` overrides the sidecar; without either, the
-    flow comes back in source reference.
-    """
-    if reference is None:
-        reference = read_reference_sidecar(path) or Reference.SOURCE
-    return read_flo(path, reference)
 
 
 def write_image(path, image) -> None:
@@ -141,7 +123,7 @@ def _read_pnm_tokens(blob: bytes, count: int) -> tuple[list[int], int]:
     """First `count` whitespace/comment-delimited integers and end offset."""
     tokens: list[int] = []
     pos = 0
-    current = b""
+    current = bytearray()
     while len(tokens) < count and pos < len(blob):
         ch = blob[pos : pos + 1]
         pos += 1
@@ -150,8 +132,11 @@ def _read_pnm_tokens(blob: bytes, count: int) -> tuple[list[int], int]:
                 pos += 1
         elif ch.isspace():
             if current:
-                tokens.append(int(current))
-                current = b""
+                try:
+                    tokens.append(int(current))
+                except ValueError:
+                    raise FlowError(f"bad pixmap header token {bytes(current[:20])!r}") from None
+                current = bytearray()
         else:
             current += ch
     if len(tokens) < count:
@@ -166,6 +151,8 @@ def read_image(path):
         raise FlowError(f"{path}: not a binary pixmap (P5/P6)")
     channels = 3 if blob[:2] == b"P6" else 1
     (w, h, maxval), offset = _read_pnm_tokens(blob[2:], 3)
+    if w < 1 or h < 1:
+        raise FlowError(f"{path}: pixmap dims must be positive, got {w}x{h}")
     if maxval != 255:
         raise FlowError(f"{path}: only maxval 255 pixmaps are supported")
     pixels = blob[2 + offset :]

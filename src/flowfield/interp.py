@@ -16,7 +16,9 @@ The splat sums into one accumulator with a row for the weight and one per
 channel, over the grid plus a border (one cell before, two after) wide
 enough for every corner of a retained sample, so no corner is masked. The
 summation order is unchanged from a per-corner masked loop, and so is every
-output bit.
+output bit. The thresholds are fixed constants, not parameters: a splatted
+cell needs more than `WEIGHT_THRESHOLD` accumulated weight, and a position
+within `OUT_OF_BOUNDS_TOL` of the grid counts as inside it.
 """
 
 from __future__ import annotations
@@ -26,17 +28,17 @@ import numpy as np
 from .core import FlowError, as_points
 
 __all__ = [
-    "DEFAULT_WEIGHT_THRESHOLD",
     "MASK_SAMPLE_THRESHOLD",
     "OUT_OF_BOUNDS_TOL",
+    "WEIGHT_THRESHOLD",
     "bilinear_sample",
     "grid_from_unstructured_data",
     "masked_bilinear_sample",
 ]
 
 # A cell touched only by vanishing weight tails carries amplified noise after
-# normalization; pass 0.0 explicitly to keep every positively-weighted cell.
-DEFAULT_WEIGHT_THRESHOLD = 1e-3
+# normalization, so a splatted cell needs more accumulated weight than this.
+WEIGHT_THRESHOLD = 1e-3
 
 # Slack before a sample position counts as outside the grid.
 OUT_OF_BOUNDS_TOL = 1e-9
@@ -54,7 +56,13 @@ def _channels_last(grid: np.ndarray) -> tuple[np.ndarray, bool]:
     raise FlowError(f"grid must have shape (H, W) or (H, W, C), got {grid.shape}")
 
 
-def bilinear_sample(grid, points, tol: float = OUT_OF_BOUNDS_TOL):
+def _in_bounds(x: np.ndarray, y: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Positions within `OUT_OF_BOUNDS_TOL` of [0, W-1] x [0, H-1]."""
+    tol = OUT_OF_BOUNDS_TOL
+    return (x >= -tol) & (x <= w - 1 + tol) & (y >= -tol) & (y <= h - 1 + tol)
+
+
+def bilinear_sample(grid, points):
     """Read a regular grid at continuous positions.
 
     Parameters
@@ -62,10 +70,9 @@ def bilinear_sample(grid, points, tol: float = OUT_OF_BOUNDS_TOL):
     grid : array_like, shape (H, W) or (H, W, C)
     points : PointSet or array_like, shape (N, 2)
         Continuous (x, y) positions. Coordinates are clamped to the grid
-        before sampling, so the operation is total.
-    tol : float
-        Positions outside [0, W-1] x [0, H-1] by more than this are
-        flagged out of bounds (their clamped value is still returned).
+        before sampling, so the operation is total. Positions outside
+        [0, W-1] x [0, H-1] by more than `OUT_OF_BOUNDS_TOL` are flagged
+        out of bounds (their clamped value is still returned).
 
     Returns
     -------
@@ -80,7 +87,7 @@ def bilinear_sample(grid, points, tol: float = OUT_OF_BOUNDS_TOL):
     pts = as_points(points)
     x, y = pts[:, 0], pts[:, 1]
 
-    in_bounds = (x >= -tol) & (x <= w - 1 + tol) & (y >= -tol) & (y <= h - 1 + tol)
+    in_bounds = _in_bounds(x, y, h, w)
 
     xc = np.clip(x, 0.0, w - 1.0)
     yc = np.clip(y, 0.0, h - 1.0)
@@ -144,21 +151,16 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     return values, valid
 
 
-def grid_from_unstructured_data(
-    positions,
-    values,
-    shape: tuple[int, int],
-    weight_scale=None,
-    weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-):
+def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     """Interpolate unstructured data points onto a regular grid.
 
     Each sample at (x, y) distributes value * w and weight w to its four
     surrounding integer cells, where w is the standard bilinear weight of
-    the position relative to that cell times the sample's weight scale.
-    Cells whose accumulated weight exceeds `weight_threshold` hold the
-    weighted mean of their contributions; all other cells are zero with a
-    false mask bit.
+    the position relative to that cell. Cells whose accumulated weight
+    exceeds `WEIGHT_THRESHOLD` hold the weighted mean of their
+    contributions; all other cells are zero with a false mask bit. Finite
+    values near the float64 limit can overflow in the sums; a non-finite
+    mean raises FlowError.
 
     The sums run over an accumulator padded so that every corner of a
     retained sample lands inside it, so no corner is masked. Each cell sums
@@ -174,10 +176,6 @@ def grid_from_unstructured_data(
         the grid).
     values : array_like, shape (N,) or (N, C), finite
     shape : (H, W) of the output grid
-    weight_scale : array_like, shape (N,), optional
-        Finite non-negative per-sample weight multipliers; default all-one.
-    weight_threshold : float
-        Strict lower bound on the accumulated weight of a valid cell.
 
     Returns
     -------
@@ -187,8 +185,6 @@ def grid_from_unstructured_data(
     h, w = int(shape[0]), int(shape[1])
     if h < 1 or w < 1:
         raise FlowError(f"output shape must be at least 1x1, got {shape}")
-    if weight_threshold < 0:
-        raise FlowError(f"weight_threshold must be non-negative, got {weight_threshold}")
     pts = np.asarray(positions, dtype=np.float64)
     if pts.size == 0:
         pts = pts.reshape(0, 2)
@@ -206,20 +202,10 @@ def grid_from_unstructured_data(
         raise FlowError("values must be finite")
     n_channels = vals.shape[1]
 
-    scale = None
-    if weight_scale is not None:
-        scale = np.asarray(weight_scale, dtype=np.float64)
-        if scale.shape != (pts.shape[0],):
-            raise FlowError(f"weight_scale shape {scale.shape} does not match positions")
-        if not np.all(np.isfinite(scale) & (scale >= 0)):
-            raise FlowError("weight_scale entries must be finite and non-negative")
-
     x, y = pts[:, 0], pts[:, 1]
     keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
     if not np.all(keep):
         x, y, vals = x[keep], y[keep], vals[keep]
-        if scale is not None:
-            scale = scale[keep]
 
     # A kept sample's corners span [-1, W+1] x [-1, H+1]; a border of one
     # cell below and two above holds them all, so no corner needs a test.
@@ -240,19 +226,19 @@ def grid_from_unstructured_data(
     for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (pw, gx, fy), (pw + 1, fx, fy)):
         lin = base + offset
         contrib = wx * wy
-        if scale is not None:
-            contrib *= scale
         acc[0] += np.bincount(lin, weights=contrib, minlength=n_cells)
         for c in range(n_channels):
             acc[1 + c] += np.bincount(lin, weights=contrib * vals[:, c], minlength=n_cells)
 
     interior = acc.reshape(1 + n_channels, h + 3, pw)[:, 1 : h + 1, 1 : w + 1]
     weight = interior[0]
-    mask = weight > weight_threshold
+    mask = weight > WEIGHT_THRESHOLD
     out = np.zeros((h, w, n_channels), dtype=np.float64)
     np.divide(
         interior[1:].transpose(1, 2, 0), weight[..., None], out=out, where=mask[..., None]
     )
+    if not np.isfinite(out).all():
+        raise FlowError("splatted values overflow float64")
     if squeeze:
         out = out[..., 0]
     return out, mask

@@ -5,6 +5,8 @@ warps are forward splats (unstructured-to-grid interpolation) and can leave
 uncovered cells, which surface as false mask bits. Target-reference warps
 are backward bilinear samples and are hole-free but can read out of bounds,
 which likewise surfaces in the mask. Invalid output cells are zero-filled.
+Each operation picks its route from the field's reference alone, with the
+fixed thresholds `interp.WEIGHT_THRESHOLD` and `interp.OUT_OF_BOUNDS_TOL`.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .core import (
     grid_coordinates,
 )
 from .interp import (
-    DEFAULT_WEIGHT_THRESHOLD,
     OUT_OF_BOUNDS_TOL,
     _channels_last,
+    _in_bounds,
     grid_from_unstructured_data,
     masked_bilinear_sample,
 )
@@ -44,12 +46,7 @@ __all__ = [
 ]
 
 
-def apply(
-    field: FlowField,
-    data,
-    data_mask=None,
-    weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-):
+def apply(field: FlowField, data, data_mask=None):
     """Warp grid data with a flow field.
 
     Source reference: every valid cell g splats data(g) to the continuous
@@ -67,8 +64,6 @@ def apply(
         excludes them from each bilinear blend (see
         `masked_bilinear_sample`). Output cells drawing less than half
         their blend weight from valid data are masked out.
-    weight_threshold : float
-        Splat coverage threshold, see `grid_from_unstructured_data`.
 
     Returns
     -------
@@ -97,9 +92,7 @@ def apply(
         grid += field.vectors
         positions = grid[emit]
         values = arr[emit]
-        warped, mask = grid_from_unstructured_data(
-            positions, values, (h, w), weight_threshold=weight_threshold
-        )
+        warped, mask = grid_from_unstructured_data(positions, values, (h, w))
     else:
         grid -= field.masked_vectors()
         points = grid.reshape(-1, 2)
@@ -174,58 +167,42 @@ def invert(field: FlowField) -> FlowField:
 def _endpoints_in_bounds(field: FlowField, sign: float) -> np.ndarray:
     h, w = field.shape
     pts = grid_coordinates((h, w)) + sign * field.masked_vectors()
-    x, y = pts[..., 0], pts[..., 1]
-    tol = OUT_OF_BOUNDS_TOL
-    return (
-        (x >= -tol) & (x <= w - 1 + tol) & (y >= -tol) & (y <= h - 1 + tol) & field.mask
-    )
+    return _in_bounds(pts[..., 0], pts[..., 1], h, w) & field.mask
 
 
-def valid_target(
-    field: FlowField,
-    method: str = "auto",
-    weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-) -> np.ndarray:
+def valid_target(field: FlowField) -> np.ndarray:
     """Mask of the grid cells that receive data when the flow is applied.
 
-    `method` 'auto' uses the exact in-bounds test for target-reference
-    flows and falls back to warping an all-ones matrix otherwise; 'warp'
-    forces the warping definition for any reference.
+    Target-reference flows use the exact in-bounds test of each cell's
+    endpoint; source-reference flows warp an all-ones matrix.
     """
-    if method not in ("auto", "warp"):
-        raise FlowError(f"method must be 'auto' or 'warp', got {method!r}")
-    if method == "auto" and field.reference is Reference.TARGET:
+    if field.reference is Reference.TARGET:
         return _endpoints_in_bounds(field, -1.0)
-    _, mask = apply(field, np.ones(field.shape), weight_threshold=weight_threshold)
+    _, mask = apply(field, np.ones(field.shape))
     return mask
 
 
-def valid_source(
-    field: FlowField,
-    method: str = "auto",
-    weight_threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-) -> np.ndarray:
+def valid_source(field: FlowField) -> np.ndarray:
     """Mask of the grid cells whose content survives applying the flow.
 
-    `method` 'auto' uses the exact in-bounds test for source-reference
-    flows and falls back to warping an all-ones matrix with the inverted
-    flow otherwise; 'warp' forces the warping definition.
+    Source-reference flows use the exact in-bounds test of each cell's
+    endpoint; target-reference flows warp an all-ones matrix with the
+    inverted flow.
     """
-    if method not in ("auto", "warp"):
-        raise FlowError(f"method must be 'auto' or 'warp', got {method!r}")
-    if method == "auto" and field.reference is Reference.SOURCE:
+    if field.reference is Reference.SOURCE:
         return _endpoints_in_bounds(field, 1.0)
-    _, mask = apply(invert(field), np.ones(field.shape), weight_threshold=weight_threshold)
+    _, mask = apply(invert(field), np.ones(field.shape))
     return mask
 
 
-def get_padding(field: FlowField, tol: float = 1e-9) -> Padding:
+def get_padding(field: FlowField) -> Padding:
     """Minimal padding so the padded flow covers the original region.
 
     Looks at the extremes of the continuous endpoints g + F (source) or
     g - F (target) over all valid cells and rounds the overhang beyond
-    each grid edge up to whole pixels. Extremes within `tol` of an
-    integer do not round up. All-invalid flows need no padding.
+    each grid edge up to whole pixels. Extremes within `OUT_OF_BOUNDS_TOL`
+    of an integer do not round up, so an endpoint that the in-bounds test
+    counts as inside needs no padding. All-invalid flows need no padding.
     """
     if not field.mask.any():
         return Padding(0, 0, 0, 0)
@@ -235,7 +212,7 @@ def get_padding(field: FlowField, tol: float = 1e-9) -> Padding:
     x, y = pts[:, 0], pts[:, 1]
 
     def overhang(amount: float) -> int:
-        return max(0, math.ceil(amount - tol))
+        return max(0, math.ceil(amount - OUT_OF_BOUNDS_TOL))
 
     return Padding(
         top=overhang(-float(y.min())),

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from flowfield import FlowField, from_matrix
+from flowfield.interp import WEIGHT_THRESHOLD
 from flowfield.verify import random_transform
 
 
-def splat_bruteforce(positions, values, shape, weight_scale=None, weight_threshold=1e-3):
+def splat_bruteforce(positions, values, shape):
     """Reference splat: loop over every (sample, cell) pair with tent weights.
 
     Independent of the production implementation: weights come from the
@@ -21,11 +22,9 @@ def splat_bruteforce(positions, values, shape, weight_scale=None, weight_thresho
     if squeeze:
         values = values[:, None]
     channels = values.shape[1]
-    if weight_scale is None:
-        weight_scale = np.ones(len(positions))
     acc = np.zeros((h, w, channels))
     wacc = np.zeros((h, w))
-    for (x, y), val, ws in zip(positions, values, weight_scale):
+    for (x, y), val in zip(positions, values):
         if not (-1.0 <= x <= w and -1.0 <= y <= h):
             continue
         for cy in range(h):
@@ -36,10 +35,10 @@ def splat_bruteforce(positions, values, shape, weight_scale=None, weight_thresho
                 wx = max(0.0, 1.0 - abs(x - cx))
                 if wx == 0.0:
                     continue
-                weight = wx * wy * ws
+                weight = wx * wy
                 acc[cy, cx] += weight * val
                 wacc[cy, cx] += weight
-    mask = wacc > weight_threshold
+    mask = wacc > WEIGHT_THRESHOLD
     out = np.zeros((h, w, channels))
     np.divide(acc, wacc[..., None], out=out, where=mask[..., None])
     if squeeze:

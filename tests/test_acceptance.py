@@ -20,12 +20,12 @@ from flowfield import (
     from_matrix,
     grid_from_unstructured_data,
     invert,
+    load_flow,
     map_vectors,
-    read_flo,
     render_colorwheel,
     run_trials,
+    save_flow,
     switch_reference,
-    write_flo,
     zeros,
 )
 from flowfield.demo import analytic_flow_2_to_3, run_synthetic_demo
@@ -91,9 +91,8 @@ def test_03_splatting_matches_bruteforce():
         n = int(rng.integers(0, 21))
         positions = rng.uniform((-2.0, -2.0), (w + 1.0, h + 1.0), size=(n, 2))
         values = rng.normal(size=(n, int(rng.integers(1, 4))))
-        scale = rng.uniform(0.0, 2.0, size=n)
-        got, got_mask = grid_from_unstructured_data(positions, values, (h, w), scale)
-        want, want_mask = splat_bruteforce(positions, values, (h, w), scale)
+        got, got_mask = grid_from_unstructured_data(positions, values, (h, w))
+        want, want_mask = splat_bruteforce(positions, values, (h, w))
         ok = ok and np.array_equal(got_mask, want_mask)
         diff = float(np.abs(got - want).max()) if got.size else 0.0
         worst = max(worst, diff)
@@ -163,15 +162,15 @@ def test_07_flo_interchange(tmp_path):
         vec[~mask] = 0.0
         f = FlowField(vec, "s", mask)
         path = tmp_path / f"r{k}.flo"
-        write_flo(path, f)
-        back = read_flo(path)
+        save_flow(path, f)
+        back = load_flow(path)
         ok = ok and np.array_equal(back.vectors, f.vectors) and np.array_equal(back.mask, f.mask)
     golden = tmp_path / "golden.flo"
     golden.write_bytes(
         struct.pack("<fii", FLO_MAGIC, 2, 1)
         + struct.pack("<4f", 1.5, -2.25, INVALID_SENTINEL, INVALID_SENTINEL)
     )
-    g = read_flo(golden)
+    g = load_flow(golden)
     ok = ok and np.array_equal(g.vectors, [[[1.5, -2.25], [0.0, 0.0]]])
     ok = ok and list(g.mask[0]) == [True, False]
     assert report("7 .flo interchange, 100 roundtrips + golden file", ok, "bit-exact")

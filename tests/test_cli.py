@@ -1,5 +1,10 @@
 """End-to-end CLI tests through the real entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -256,3 +261,49 @@ class TestExitCodes:
         save_flow(flo, zeros((4, 4)))
         assert main(["viz", "-f", str(flo), "--max-magnitude", "nan", "-o",
                      str(tmp_path / "v.ppm")]) == 2
+
+    @pytest.mark.parametrize("header", [b"P6\n-2 -3\n255\n", b"P6\nab 3\n255\n"],
+                             ids=["negative-dims", "non-integer"])
+    def test_bad_pixmap_header_apply_is_data_error(self, tmp_path, capsys, header):
+        flo = tmp_path / "f.flo"
+        save_flow(flo, zeros((2, 3), "t"))
+        img = tmp_path / "in.ppm"
+        img.write_bytes(header + b"\0" * 18)
+        code = main(["apply", "-f", str(flo), "-i", str(img), "-o",
+                     str(tmp_path / "out.ppm")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def run_subprocess(*args, cwd):
+    """Run the CLI as its own process, as a user would."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "flowfield.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestCellBudget:
+    # Each request is at least a PiB of vectors, along one axis so that no
+    # coordinate vector fits in memory either: it must be refused as a data
+    # error before anything is allocated, with no traceback.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["make", "--transforms", "translation:1,1", "--size", "1000000000000000x4",
+             "--ref", "s", "-o", "out.flo"],
+            ["make", "--transforms", "translation:1,1", "--size", "4x4",
+             "--padding", "1000000000000000,0,0,0", "--ref", "s", "-o", "out.flo"],
+            ["resize", "-f", "in.flo", "--scale", "1e15,1", "-o", "out.flo"],
+            ["pad", "-f", "in.flo", "--padding", "1000000000000000,0,0,0", "-o", "out.flo"],
+        ],
+        ids=["make-size", "make-padding", "resize", "pad"],
+    )
+    def test_oversized_grid_is_data_error(self, tmp_path, args):
+        save_flow(tmp_path / "in.flo", zeros((4, 4)))
+        proc = run_subprocess(*args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "exceeds the budget" in proc.stderr
+        assert not (tmp_path / "out.flo").exists()

@@ -256,6 +256,12 @@ class TestResize:
         assert np.array_equal(out.mask, expected)
 
 
+class TestCellBudget:
+    def test_oversized_zeros_raises_before_allocating(self):
+        with pytest.raises(FlowError, match="budget"):
+            zeros((10**15, 4))
+
+
 class TestPadUnpad:
     def test_pad_extends_with_invalid_zeros(self):
         f = zeros((3, 4))

@@ -9,17 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowfield import FlowError, FlowField, Reference, read_flo, write_flo, zeros
+from flowfield import FlowError, FlowField, Reference, zeros
 from flowfield.fileio import (
     FLO_MAGIC,
     INVALID_SENTINEL,
     load_flow,
     read_image,
-    read_reference_sidecar,
     save_flow,
     write_image,
     write_mask,
-    write_reference_sidecar,
 )
 
 
@@ -34,8 +32,8 @@ class TestFloRoundtrip:
     def test_vectors_and_mask_survive(self, tmp_path, rng):
         f = random_f32_field(rng, 7, 9)
         path = tmp_path / "field.flo"
-        write_flo(path, f)
-        back = read_flo(path, f.reference)
+        save_flow(path, f)
+        back = load_flow(path)
         assert np.array_equal(back.vectors, f.vectors)
         assert np.array_equal(back.mask, f.mask)
         assert back.reference is f.reference
@@ -44,8 +42,8 @@ class TestFloRoundtrip:
         f = random_f32_field(rng, 5, 6)
         first = tmp_path / "a.flo"
         second = tmp_path / "b.flo"
-        write_flo(first, f)
-        write_flo(second, read_flo(first))
+        save_flow(first, f)
+        save_flow(second, load_flow(first))
         assert first.read_bytes() == second.read_bytes()
 
     @given(seed=st.integers(0, 10_000))
@@ -56,8 +54,8 @@ class TestFloRoundtrip:
         f = random_f32_field(rng, h, w)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "field.flo"
-            write_flo(path, f)
-            back = read_flo(path, f.reference)
+            save_flow(path, f)
+            back = load_flow(path)
         assert np.array_equal(back.vectors, f.vectors)
         assert np.array_equal(back.mask, f.mask)
 
@@ -69,7 +67,7 @@ class TestFloFormat:
         blob += struct.pack("<4f", 1.5, -2.25, INVALID_SENTINEL, INVALID_SENTINEL)
         path = tmp_path / "golden.flo"
         path.write_bytes(blob)
-        f = read_flo(path)
+        f = load_flow(path)
         assert f.shape == (1, 2)
         assert f.reference is Reference.SOURCE
         assert np.array_equal(f.vectors[0, 0], [1.5, -2.25])
@@ -79,7 +77,7 @@ class TestFloFormat:
     def test_written_bytes_are_little_endian_interleaved(self, tmp_path):
         vec = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         path = tmp_path / "layout.flo"
-        write_flo(path, FlowField(vec, "s"))
+        save_flow(path, FlowField(vec, "s"))
         blob = path.read_bytes()
         magic, w, h = struct.unpack("<fii", blob[:12])
         assert (magic, w, h) == (FLO_MAGIC, 2, 1)
@@ -90,31 +88,38 @@ class TestFloFormat:
         path = tmp_path / "bad.flo"
         path.write_bytes(struct.pack("<fii", 0.0, 1, 1) + b"\0" * 8)
         with pytest.raises(FlowError, match="magic"):
-            read_flo(path)
+            load_flow(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.flo"
         path.write_bytes(b"")
         with pytest.raises(FlowError, match="truncated"):
-            read_flo(path)
+            load_flow(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.flo"
         path.write_bytes(struct.pack("<fii", FLO_MAGIC, 4, 4) + b"\0" * 10)
         with pytest.raises(FlowError, match="truncated"):
-            read_flo(path)
+            load_flow(path)
 
     @pytest.mark.parametrize("w, h", [(0, 4), (-1, 4), (4, 70000)])
     def test_implausible_dims_rejected(self, tmp_path, w, h):
         path = tmp_path / "dims.flo"
         path.write_bytes(struct.pack("<fii", FLO_MAGIC, w, h) + b"\0" * 64)
         with pytest.raises(FlowError, match="dims"):
-            read_flo(path)
+            load_flow(path)
+
+    def test_claimed_dims_do_not_size_the_read(self, tmp_path):
+        # The header claims a 32 GiB payload; only the 64 real bytes count.
+        path = tmp_path / "claims.flo"
+        path.write_bytes(struct.pack("<fii", FLO_MAGIC, 65535, 65535) + b"\0" * 64)
+        with pytest.raises(FlowError, match="truncated"):
+            load_flow(path)
 
     def test_oversized_field_refused_on_write(self, tmp_path):
         wide = zeros((1, 65536))
         with pytest.raises(FlowError, match="dims"):
-            write_flo(tmp_path / "wide.flo", wide)
+            save_flow(tmp_path / "wide.flo", wide)
 
 
 class TestSidecar:
@@ -131,14 +136,16 @@ class TestSidecar:
 
     def test_missing_sidecar_defaults_to_source(self, tmp_path):
         path = tmp_path / "f.flo"
-        write_flo(path, zeros((3, 3), "t"))
-        assert read_reference_sidecar(path) is None
+        save_flow(path, zeros((3, 3), "t"))
+        (tmp_path / "f.ref").unlink()
         assert load_flow(path).reference is Reference.SOURCE
 
-    def test_sidecar_roundtrip(self, tmp_path):
+    def test_non_utf8_sidecar_rejected(self, tmp_path):
         path = tmp_path / "f.flo"
-        write_reference_sidecar(path, "t")
-        assert read_reference_sidecar(path) is Reference.TARGET
+        save_flow(path, zeros((3, 3), "t"))
+        (tmp_path / "f.ref").write_bytes(b"\xff\n")
+        with pytest.raises(FlowError, match="sidecar"):
+            load_flow(path)
 
 
 class TestPixmaps:
@@ -168,6 +175,17 @@ class TestPixmaps:
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n\x07\x09")
         assert np.array_equal(read_image(path), [[7, 9]])
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n-2 -3\n255\n", b"P6\nab 3\n255\n", b"P5\n0 3\n255\n", b"P6\n2 3x\n255\n"],
+        ids=["negative-dims", "non-integer", "zero-width", "trailing-junk"],
+    )
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(header + b"\0" * 64)
+        with pytest.raises(FlowError):
+            read_image(path)
+
     def test_non_uint8_rejected(self, tmp_path):
         with pytest.raises(FlowError):
             write_image(tmp_path / "x.ppm", np.zeros((2, 2, 3), dtype=np.float64))
@@ -175,3 +193,69 @@ class TestPixmaps:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             write_image(tmp_path / "no" / "dir.ppm", np.zeros((2, 2, 3), np.uint8))
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """`blob` with a few bytes set, inserted or deleted, then maybe truncated."""
+    data = bytearray(blob)
+    for _ in range(draw(st.integers(0, 6))):
+        # Half of the edits land in the first 16 bytes, where headers live.
+        pos = draw(st.integers(0, min(len(data), 16)) | st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b"-+ \n#0123456789abP.") | st.integers(0, 255))
+        kind = draw(st.sampled_from(["set", "insert", "delete"]))
+        if kind == "insert" or pos == len(data):
+            data.insert(pos, byte)
+        elif kind == "set":
+            data[pos] = byte
+        else:
+            del data[pos]
+    cut = draw(st.none() | st.integers(0, len(data)))
+    return bytes(data if cut is None else data[:cut])
+
+
+def _valid_flo() -> bytes:
+    vec = np.arange(12, dtype=np.float64).reshape(2, 3, 2)
+    blob = struct.pack("<fii", FLO_MAGIC, 3, 2) + vec.astype("<f4").tobytes()
+    return blob[:-8] + struct.pack("<2f", INVALID_SENTINEL, INVALID_SENTINEL)
+
+
+def _valid_pixmap(kind: bytes) -> bytes:
+    channels = 3 if kind == b"P6" else 1
+    return kind + b"\n3 2\n255\n" + bytes(range(6 * channels))
+
+
+def _reads_or_raises_flow_error(read, name: str, blob: bytes, sidecar: bytes | None = None):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(blob)
+        if sidecar is not None:
+            path.with_suffix(".ref").write_bytes(sidecar)
+        try:
+            read(path)
+        except FlowError:
+            pass
+
+
+class TestReaderFuzz:
+    """Truncated or mutated input bytes may only ever raise FlowError."""
+
+    @given(blob=mutated(_valid_flo()))
+    @settings(max_examples=300, deadline=None)
+    def test_flo(self, blob):
+        _reads_or_raises_flow_error(load_flow, "f.flo", blob)
+
+    @given(sidecar=mutated(b"t\n") | st.binary(max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_ref_sidecar(self, sidecar):
+        _reads_or_raises_flow_error(load_flow, "f.flo", _valid_flo(), sidecar)
+
+    @given(blob=mutated(_valid_pixmap(b"P5")))
+    @settings(max_examples=300, deadline=None)
+    def test_p5(self, blob):
+        _reads_or_raises_flow_error(read_image, "f.pgm", blob)
+
+    @given(blob=mutated(_valid_pixmap(b"P6")))
+    @settings(max_examples=300, deadline=None)
+    def test_p6(self, blob):
+        _reads_or_raises_flow_error(read_image, "f.ppm", blob)

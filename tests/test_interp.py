@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfield import FlowError, bilinear_sample, grid_from_unstructured_data
-from flowfield.interp import masked_bilinear_sample
+from flowfield.interp import WEIGHT_THRESHOLD, masked_bilinear_sample
 
 from conftest import splat_bruteforce
 
 
-def splat_four_pass(positions, values, shape, weight_scale=None, weight_threshold=1e-3):
+def splat_four_pass(positions, values, shape):
     """The splat as one masked pass per corner into unpadded accumulators.
 
     Kept as the bit-for-bit oracle of `grid_from_unstructured_data`: both
@@ -24,13 +24,9 @@ def splat_four_pass(positions, values, shape, weight_scale=None, weight_threshol
     if squeeze:
         vals = vals[:, None]
     n_channels = vals.shape[1]
-    if weight_scale is None:
-        scale = np.ones(pts.shape[0])
-    else:
-        scale = np.asarray(weight_scale, dtype=np.float64)
     x, y = pts[:, 0], pts[:, 1]
     keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
-    x, y, vals, scale = x[keep], y[keep], vals[keep], scale[keep]
+    x, y, vals = x[keep], y[keep], vals[keep]
     x0 = np.floor(x).astype(np.intp)
     y0 = np.floor(y).astype(np.intp)
     fx = x - x0
@@ -49,13 +45,13 @@ def splat_four_pass(positions, values, shape, weight_scale=None, weight_threshol
         if not np.any(inside):
             continue
         lin = cy[inside] * w + cx[inside]
-        contrib = corner_w[inside] * scale[inside]
+        contrib = corner_w[inside]
         weight_acc += np.bincount(lin, weights=contrib, minlength=h * w)
         for c in range(n_channels):
             value_acc[:, c] += np.bincount(
                 lin, weights=contrib * vals[inside, c], minlength=h * w
             )
-    mask = weight_acc > weight_threshold
+    mask = weight_acc > WEIGHT_THRESHOLD
     out = np.zeros((h * w, n_channels))
     np.divide(value_acc, weight_acc[:, None], out=out, where=mask[:, None])
     out = out.reshape(h, w, n_channels)
@@ -152,12 +148,6 @@ class TestSplat:
         assert grid[0, 0] == pytest.approx(3.0)
         assert mask[0, 0]
 
-    def test_weight_scale_biases_average(self):
-        grid, _ = grid_from_unstructured_data(
-            [[0.0, 0.0]] * 2, [2.0, 4.0], (1, 1), weight_scale=[3.0, 1.0]
-        )
-        assert grid[0, 0] == pytest.approx(2.5)
-
     def test_far_outside_samples_dropped(self):
         grid, mask = grid_from_unstructured_data(
             [[-1.5, 0.0], [0.0, 5.1]], [9.0, 9.0], (4, 4)
@@ -185,12 +175,11 @@ class TestSplat:
         grid, mask = grid_from_unstructured_data(positions, np.full(40, 3.25), (6, 6))
         assert np.allclose(grid[mask], 3.25, atol=1e-9)
 
-    def test_zero_threshold_keeps_grazing_cells(self):
-        positions = [[0.999999, 0.0]]
-        _, strict = grid_from_unstructured_data(positions, [1.0], (1, 2), weight_threshold=0.0)
-        _, default = grid_from_unstructured_data(positions, [1.0], (1, 2))
-        assert strict[0, 0] and not default[0, 0]  # weight 1e-6 at cell 0
-        assert strict[0, 1] and default[0, 1]
+    def test_grazing_cells_are_masked_out(self):
+        # Cell 0 gets weight 1e-6, below the coverage threshold.
+        grid, mask = grid_from_unstructured_data([[0.999999, 0.0]], [1.0], (1, 2))
+        assert not mask[0, 0] and grid[0, 0] == 0.0
+        assert mask[0, 1]
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -200,29 +189,33 @@ class TestSplat:
         n = int(rng.integers(0, 21))
         positions = rng.uniform((-2.0, -2.0), (w + 1.0, h + 1.0), size=(n, 2))
         values = rng.normal(size=(n, 2))
-        scale = rng.uniform(0.0, 2.0, size=n)
-        got, got_mask = grid_from_unstructured_data(positions, values, (h, w), scale)
-        want, want_mask = splat_bruteforce(positions, values, (h, w), scale)
+        got, got_mask = grid_from_unstructured_data(positions, values, (h, w))
+        want, want_mask = splat_bruteforce(positions, values, (h, w))
         assert np.array_equal(got_mask, want_mask)
         assert np.allclose(got, want, atol=1e-6)
 
 
 class TestSplatInputContract:
-    # Non-finite input used to land NaN in mask-true cells (values, weight
-    # scales) or be dropped silently (positions); it is rejected instead.
+    # Non-finite input used to land NaN in mask-true cells (values) or be
+    # dropped silently (positions); it is rejected instead.
     @pytest.mark.parametrize(
-        "positions, values, weight_scale",
-        [
-            ([[np.nan, 0.0]], [1.0], None),
-            ([[0.0, 0.0]], [np.nan], None),
-            ([[0.0, 0.0]], [1.0], [np.inf]),
-            ([[0.0, 0.0]], [1.0], [-1.0]),
-        ],
-        ids=["nan-position", "nan-value", "inf-weight-scale", "negative-weight-scale"],
+        "positions, values",
+        [([[np.nan, 0.0]], [1.0]), ([[0.0, 0.0]], [np.nan])],
+        ids=["nan-position", "nan-value"],
     )
-    def test_bad_samples_rejected(self, positions, values, weight_scale):
+    def test_bad_samples_rejected(self, positions, values):
         with pytest.raises(FlowError):
-            grid_from_unstructured_data(positions, values, (2, 2), weight_scale)
+            grid_from_unstructured_data(positions, values, (2, 2))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_sum_rejected(self, sign):
+        # Two finite values near the float64 limit sum to inf in one cell.
+        with pytest.raises(FlowError, match="overflow"):
+            grid_from_unstructured_data([[0.0, 0.0]] * 2, [sign * 1.5e308] * 2, (1, 1))
+
+    def test_near_limit_values_that_fit_pass(self):
+        grid, mask = grid_from_unstructured_data([[0.0, 0.0]], [1.5e308], (1, 1))
+        assert mask[0, 0] and grid[0, 0] == 1.5e308
 
     def test_zero_samples_keep_channel_count(self):
         grid, mask = grid_from_unstructured_data(np.zeros((0, 2)), np.zeros((0, 4)), (2, 3))
@@ -235,7 +228,7 @@ class TestSplatInputContract:
 
 
 def _edge_case(name):
-    """(positions, values, shape, weight_scale) for one splat edge case."""
+    """(positions, values, shape) for one splat edge case."""
     rng = np.random.default_rng(sum(map(ord, name)))
     if name == "band-edges":
         h, w = 4, 6
@@ -244,40 +237,34 @@ def _edge_case(name):
             [-1.0, -1.0], [w, h], [-1.0, h], [w, -1.0],
             [-0.5, 1.0], [w - 0.5, h - 0.25],
         ]
-        return positions, rng.normal(size=(len(positions), 2)), (h, w), None
+        return positions, rng.normal(size=(len(positions), 2)), (h, w)
     if name in ("1x1", "1xW"):
         shape = (1, 1) if name == "1x1" else (1, 7)
         positions = rng.uniform(-1.5, shape[1] + 0.5, size=(30, 2))
         positions[:, 1] = rng.uniform(-1.5, 1.5, size=30)
-        return positions, rng.normal(size=(30, 2)), shape, None
+        return positions, rng.normal(size=(30, 2)), shape
     if name == "none-kept":
         positions = [[-1.5, 0.0], [0.0, -1.0 - 1e-12], [9.0, 0.0], [2.0, 5.5]]
-        return positions, rng.normal(size=(4, 2)), (5, 8), None
+        return positions, rng.normal(size=(4, 2)), (5, 8)
     if name == "dropped-and-kept":
         positions = rng.uniform(-4.0, 12.0, size=(200, 2))
-        return positions, rng.normal(size=(200, 2)), (6, 9), None
-    if name == "zero-weight-scales":
-        positions = rng.uniform(-1.0, 6.0, size=(60, 2))
-        scale = rng.uniform(0.0, 2.0, size=60)
-        scale[::3] = 0.0
-        return positions, rng.normal(size=(60, 2)), (6, 6), scale
+        return positions, rng.normal(size=(200, 2)), (6, 9)
     channels = {"C=1": None, "C=4": 4}[name]
     positions = rng.uniform(-1.0, 7.0, size=(80, 2))
     values = rng.normal(size=80 if channels is None else (80, channels))
-    return positions, values, (6, 7), rng.uniform(0.0, 2.0, size=80)
+    return positions, values, (6, 7)
 
 
 class TestSplatEdgeCases:
     @pytest.mark.parametrize(
         "name",
-        ["band-edges", "1x1", "1xW", "none-kept", "dropped-and-kept",
-         "zero-weight-scales", "C=1", "C=4"],
+        ["band-edges", "1x1", "1xW", "none-kept", "dropped-and-kept", "C=1", "C=4"],
     )
     def test_matches_oracles(self, name):
-        positions, values, shape, scale = _edge_case(name)
-        got, got_mask = grid_from_unstructured_data(positions, values, shape, scale)
-        old, old_mask = splat_four_pass(positions, values, shape, scale)
-        want, want_mask = splat_bruteforce(positions, values, shape, scale)
+        positions, values, shape = _edge_case(name)
+        got, got_mask = grid_from_unstructured_data(positions, values, shape)
+        old, old_mask = splat_four_pass(positions, values, shape)
+        want, want_mask = splat_bruteforce(positions, values, shape)
         assert got.shape == old.shape == want.shape
         assert np.array_equal(got_mask, old_mask)
         assert got.tobytes() == old.tobytes()
@@ -292,8 +279,7 @@ class TestSplatEdgeCases:
         n = int(rng.integers(0, 80))
         positions = rng.uniform((-2.0, -2.0), (w + 1.0, h + 1.0), size=(n, 2))
         values = rng.normal(size=(n, int(rng.integers(1, 5))))
-        scale = None if rng.integers(2) else rng.uniform(0.0, 2.0, size=n)
-        got, got_mask = grid_from_unstructured_data(positions, values, (h, w), scale)
-        old, old_mask = splat_four_pass(positions, values, (h, w), scale)
+        got, got_mask = grid_from_unstructured_data(positions, values, (h, w))
+        old, old_mask = splat_four_pass(positions, values, (h, w))
         assert np.array_equal(got_mask, old_mask)
         assert got.tobytes() == old.tobytes()
