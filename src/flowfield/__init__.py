@@ -14,7 +14,6 @@ from .core import (
     FlowError,
     FlowField,
     Padding,
-    PointSet,
     Reference,
     from_matrix,
     from_transforms,
@@ -49,7 +48,6 @@ __all__ = [
     "FlowError",
     "FlowField",
     "Padding",
-    "PointSet",
     "Reference",
     "apply",
     "bilinear_sample",

@@ -225,11 +225,8 @@ def track_cmd(flow_path, points_path, output, ref_override):
             except ValueError:
                 raise FlowError(f"bad point line {line!r}; expected x,y")
             rows.append((x, y))
-    tracked, valid = track(field, np.array(rows, dtype=np.float64).reshape(-1, 2))
-    lines = [
-        f"{pt[0]:.10g},{pt[1]:.10g},{int(ok)}"
-        for pt, ok in zip(tracked.coords, valid)
-    ]
+    tracked, valid = track(field, rows)
+    lines = [f"{x:.10g},{y:.10g},{int(ok)}" for (x, y), ok in zip(tracked, valid)]
     text = "\n".join(lines) + ("\n" if lines else "")
     if output:
         with open(output, "w") as fh:

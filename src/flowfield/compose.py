@@ -118,7 +118,12 @@ def combine(
         # Move the B-anchored operand onto A's grid before adding.
         bc_vectors, bc_mask = apply(warp, bc_vectors, data_mask=bc_mask)
 
-    vectors = sign_ab * f_ab.masked_vectors() + sign_bc * bc_vectors
+    # Finite operands near the float64 limit can overflow when added; that
+    # is reported here, before a warp would blame the data for it.
+    with np.errstate(over="ignore"):
+        vectors = sign_ab * f_ab.masked_vectors() + sign_bc * bc_vectors
+    if not np.isfinite(vectors).all():
+        raise FlowError("composed flow vectors overflow float64")
     mask = f_ab.mask & bc_mask
 
     if not anchored_at_a:
@@ -126,8 +131,8 @@ def combine(
         vectors, mask = apply(warp, vectors, data_mask=mask)
 
     vectors = np.where(mask[..., None], vectors, 0.0)
-    # Finite operands near the float64 limit can overflow when added; the
-    # unchecked constructor below relies on this scan.
+    # The unchecked constructor below relies on this scan: sampling a
+    # near-limit sum can still overflow.
     if not np.isfinite(vectors).all():
         raise FlowError("composed flow vectors overflow float64")
     return FlowField._trusted(vectors, out_ref, mask)

@@ -5,6 +5,10 @@ units, channel order (x, y) with x positive rightward and y positive
 downward. Every field carries a frame of reference and a boolean validity
 mask of the same H x W shape. Fields are immutable; all operations return
 new instances.
+
+Scattered points are plain float64 (N, 2) arrays of (x, y) pixel
+coordinates; every function that takes points checks them through
+`_points` (finite, shape (N, 2)).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ __all__ = [
     "FlowError",
     "FlowField",
     "Padding",
-    "PointSet",
     "Reference",
     "from_matrix",
     "from_transforms",
@@ -119,35 +122,21 @@ class Padding:
         return (self.top, self.bottom, self.left, self.right)
 
 
-class PointSet:
-    """A set of N continuous (x, y) coordinates in pixels."""
+def _points(points) -> np.ndarray:
+    """Point coordinates as a float64 (N, 2) array, without copying one.
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        arr = np.asarray(coords, dtype=np.float64)
-        if arr.size == 0:
-            arr = arr.reshape(0, 2)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise FlowError(f"points must have shape (N, 2), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise FlowError("point coordinates must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.coords = arr
-
-    def __len__(self) -> int:
-        return self.coords.shape[0]
-
-    def __repr__(self) -> str:
-        return f"PointSet(n={len(self)})"
-
-
-def as_points(points) -> np.ndarray:
-    """Coerce a PointSet or array-like into a read-validated (N, 2) array."""
-    if isinstance(points, PointSet):
-        return points.coords
-    return PointSet(points).coords
+    This is the one check on points arriving from outside the program:
+    empty input becomes (0, 2); another shape or a non-finite coordinate
+    raises FlowError.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise FlowError(f"points must have shape (N, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise FlowError("point coordinates must be finite")
+    return pts
 
 
 class AffineTransform:
@@ -246,8 +235,8 @@ class AffineTransform:
         return AffineTransform(np.linalg.inv(self.matrix))
 
     def apply(self, points) -> np.ndarray:
-        """Map (N, 2) points through the transform."""
-        pts = as_points(points)
+        """Map points, array_like, shape (N, 2), through the transform."""
+        pts = _points(points)
         m = self.matrix
         out = pts @ m[:2, :2].T
         out += m[:2, 2]

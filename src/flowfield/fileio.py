@@ -20,6 +20,7 @@ Every reader rejects malformed bytes with FlowError.
 
 from __future__ import annotations
 
+import re
 import struct
 from pathlib import Path
 
@@ -119,29 +120,12 @@ def write_mask(path, mask) -> None:
     write_image(path, np.where(arr.astype(bool), 255, 0).astype(np.uint8))
 
 
-def _read_pnm_tokens(blob: bytes, count: int) -> tuple[list[int], int]:
-    """First `count` whitespace/comment-delimited integers and end offset."""
-    tokens: list[int] = []
-    pos = 0
-    current = bytearray()
-    while len(tokens) < count and pos < len(blob):
-        ch = blob[pos : pos + 1]
-        pos += 1
-        if ch == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif ch.isspace():
-            if current:
-                try:
-                    tokens.append(int(current))
-                except ValueError:
-                    raise FlowError(f"bad pixmap header token {bytes(current[:20])!r}") from None
-                current = bytearray()
-        else:
-            current += ch
-    if len(tokens) < count:
-        raise FlowError("truncated pixmap header")
-    return tokens, pos
+# Width, height and maxval after the magic: decimal tokens of at most ten
+# digits, separated by whitespace and by '#' comments that run to the end of
+# the line, then exactly one whitespace byte before the payload.
+_PNM_SEP = rb"\s*(?:#[^\r\n]*[\r\n]\s*)*"
+_PNM_TOKEN = rb"(\d{1,10})(?=[\s#])"
+_PNM_HEADER = re.compile(3 * (_PNM_SEP + _PNM_TOKEN) + rb"(?:#[^\r\n]*[\r\n]|\s)")
 
 
 def read_image(path):
@@ -150,12 +134,15 @@ def read_image(path):
     if blob[:2] not in (b"P5", b"P6"):
         raise FlowError(f"{path}: not a binary pixmap (P5/P6)")
     channels = 3 if blob[:2] == b"P6" else 1
-    (w, h, maxval), offset = _read_pnm_tokens(blob[2:], 3)
+    header = _PNM_HEADER.match(blob, 2)
+    if header is None:
+        raise FlowError(f"{path}: bad or truncated pixmap header")
+    w, h, maxval = map(int, header.groups())
     if w < 1 or h < 1:
         raise FlowError(f"{path}: pixmap dims must be positive, got {w}x{h}")
     if maxval != 255:
         raise FlowError(f"{path}: only maxval 255 pixmaps are supported")
-    pixels = blob[2 + offset :]
+    pixels = blob[header.end() :]
     expected = h * w * channels
     if len(pixels) < expected:
         raise FlowError(f"{path}: truncated pixmap payload")

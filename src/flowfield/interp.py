@@ -7,6 +7,9 @@ distributed over the four surrounding cells with the standard bilinear
 corner weights, and every cell is finally divided by its accumulated
 weight).
 
+Scattered positions are plain (N, 2) arrays of (x, y) coordinates, checked
+by `core._points`.
+
 Both kernels are sequential and always deterministic, so a fixed seed pins
 `verify-compose` byte for byte. Accumulation happens in double precision
 regardless of input dtype, since division by small weight sums is the
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, as_points
+from .core import FlowError, _points
 
 __all__ = [
     "MASK_SAMPLE_THRESHOLD",
@@ -68,7 +71,7 @@ def bilinear_sample(grid, points):
     Parameters
     ----------
     grid : array_like, shape (H, W) or (H, W, C)
-    points : PointSet or array_like, shape (N, 2)
+    points : array_like, shape (N, 2)
         Continuous (x, y) positions. Coordinates are clamped to the grid
         before sampling, so the operation is total. Positions outside
         [0, W-1] x [0, H-1] by more than `OUT_OF_BOUNDS_TOL` are flagged
@@ -84,7 +87,7 @@ def bilinear_sample(grid, points):
     h, w, n_channels = data.shape
     if h < 1 or w < 1:
         raise FlowError("grid must be non-empty")
-    pts = as_points(points)
+    pts = _points(points)
     x, y = pts[:, 0], pts[:, 1]
 
     in_bounds = _in_bounds(x, y, h, w)
@@ -185,13 +188,7 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     h, w = int(shape[0]), int(shape[1])
     if h < 1 or w < 1:
         raise FlowError(f"output shape must be at least 1x1, got {shape}")
-    pts = np.asarray(positions, dtype=np.float64)
-    if pts.size == 0:
-        pts = pts.reshape(0, 2)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise FlowError(f"positions must have shape (N, 2), got {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise FlowError("positions must be finite")
+    pts = _points(positions)
     vals = np.asarray(values, dtype=np.float64)
     squeeze = vals.ndim == 1
     if squeeze:
@@ -223,12 +220,15 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     # bincount per corner and row: a single bincount over all four corners
     # would reorder each cell's sum and change output bits.
     acc = np.zeros((1 + n_channels, n_cells), dtype=np.float64)
-    for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (pw, gx, fy), (pw + 1, fx, fy)):
-        lin = base + offset
-        contrib = wx * wy
-        acc[0] += np.bincount(lin, weights=contrib, minlength=n_cells)
-        for c in range(n_channels):
-            acc[1 + c] += np.bincount(lin, weights=contrib * vals[:, c], minlength=n_cells)
+    # Sums of finite values near the float64 limit can overflow (or meet as
+    # inf - inf) across corners; the finite check on the means reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (pw, gx, fy), (pw + 1, fx, fy)):
+            lin = base + offset
+            contrib = wx * wy
+            acc[0] += np.bincount(lin, weights=contrib, minlength=n_cells)
+            for c in range(n_channels):
+                acc[1 + c] += np.bincount(lin, weights=contrib * vals[:, c], minlength=n_cells)
 
     interior = acc.reshape(1 + n_channels, h + 3, pw)[:, 1 : h + 1, 1 : w + 1]
     weight = interior[0]

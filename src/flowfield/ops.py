@@ -20,9 +20,8 @@ from .core import (
     FlowError,
     FlowField,
     Padding,
-    PointSet,
     Reference,
-    as_points,
+    _points,
     grid_coordinates,
 )
 from .interp import (
@@ -107,24 +106,32 @@ def apply(field: FlowField, data, data_mask=None):
     return warped, mask
 
 
-def track(field: FlowField, points) -> tuple[PointSet, np.ndarray]:
+def track(field: FlowField, points) -> tuple[np.ndarray, np.ndarray]:
     """Track continuous points through a flow.
 
     Source reference: each point moves by the flow bilinearly sampled at
     its position. Target reference: the field is first switched to source
     reference so the vectors can be read at the points' own locations.
 
-    Returns the tracked PointSet and a boolean validity flag per point;
-    a flag is false when the point sampled an out-of-bounds or invalid
-    flow region.
+    Parameters
+    ----------
+    field : FlowField
+    points : array_like, shape (N, 2)
+        Finite (x, y) positions.
+
+    Returns
+    -------
+    tracked : ndarray, shape (N, 2)
+        New positions, in a fresh array.
+    valid : ndarray of bool, shape (N,)
+        False where the point sampled an out-of-bounds or invalid flow
+        region.
     """
-    pts = as_points(points)
+    pts = _points(points)
     if field.reference is Reference.TARGET:
         field = switch_reference(field)
-    if len(pts) == 0:
-        return PointSet(pts), np.zeros(0, dtype=bool)
     sampled, valid = masked_bilinear_sample(field.vectors, field.mask, pts)
-    return PointSet(pts + sampled), valid
+    return pts + sampled, valid
 
 
 def _carry(field: FlowField, payload: np.ndarray, reference: Reference) -> FlowField:

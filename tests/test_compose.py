@@ -1,6 +1,7 @@
 """Composition engine tests: dispatch table, oracles, mode-3 formula, masks."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -201,10 +202,11 @@ class TestCombineOutputInvariants:
         assert_fresh_output(out, *fields)
 
     @pytest.mark.parametrize("mode, ref1, ref2, out_ref", BRANCHES)
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_vectors_raise_or_stay_finite(self, mode, ref1, ref2, out_ref):
         # Finite vectors near the float64 limit can overflow when added or
-        # splatted; the overflow must raise, not reach a valid cell.
+        # splatted; the overflow must raise one FlowError that names it, with
+        # no numpy warning, and never reach a valid cell.
+        draws = []
         for seed in range(4):
             rng = np.random.default_rng(seed)
             fields = []
@@ -213,9 +215,19 @@ class TestCombineOutputInvariants:
                 huge = rng.uniform(size=(6, 7)) < 0.3
                 vectors[huge] = 1e308 * rng.choice([-1.0, 1.0], size=(huge.sum(), 2))
                 fields.append(FlowField(vectors, ref))
-            first, second = fields
-            try:
-                out = combine(first, second, mode, out_ref)
-            except FlowError:
-                continue
-            assert_fresh_output(out, first, second)
+            draws.append(fields)
+        for scale in (1e308, 1.7e308):
+            # Every cell huge: the sum overflows before the warp onto A's grid.
+            rng = np.random.default_rng(0)
+            v1 = rng.uniform(-1.0, 1.0, size=(6, 7, 2)) * scale
+            v2 = rng.uniform(-1.0, 1.0, size=(6, 7, 2)) * scale
+            draws.append([FlowField(v1, ref1), FlowField(v2, ref2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for first, second in draws:
+                try:
+                    out = combine(first, second, mode, out_ref)
+                except FlowError as err:
+                    assert "overflow" in str(err)
+                    continue
+                assert_fresh_output(out, first, second)

@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowfield import (
     AffineTransform,
     FlowError,
     FlowField,
     Padding,
-    PointSet,
     Reference,
+    bilinear_sample,
     from_matrix,
     from_transforms,
+    grid_from_unstructured_data,
     pad,
     resize,
+    track,
     unpad,
     zeros,
 )
@@ -109,17 +113,76 @@ class TestPadding:
         assert Padding(1, 2, 3, 4) + Padding(4, 3, 2, 1) == Padding(5, 5, 5, 5)
 
 
-class TestPointSet:
+# Every function that takes points, called on a 2x3 grid.
+POINT_CALLERS = {
+    "bilinear_sample": lambda pts: bilinear_sample(np.zeros((2, 3)), pts),
+    "grid_from_unstructured_data": lambda pts: grid_from_unstructured_data(
+        pts, np.zeros(len(pts)), (2, 3)
+    ),
+    "AffineTransform.apply": lambda pts: AffineTransform.identity().apply(pts),
+    "track-s": lambda pts: track(zeros((2, 3), "s"), pts),
+    "track-t": lambda pts: track(zeros((2, 3), "t"), pts),
+}
+
+COORDINATES = (
+    st.floats(-2.0, 9.0)
+    | st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+GRID_SHAPES = (
+    st.just((1, 1))
+    | st.tuples(st.just(1), st.integers(2, 8))
+    | st.tuples(st.integers(2, 8), st.integers(2, 8))
+)
+
+
+class TestPoints:
+    """Points are plain (N, 2) arrays with one check shared by every caller."""
+
     def test_empty_allowed(self):
-        assert len(PointSet([])) == 0
+        for call in POINT_CALLERS.values():
+            call([])
+        assert AffineTransform.identity().apply([]).shape == (0, 2)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(FlowError):
-            PointSet([[0.0, np.inf]])
+        for call in POINT_CALLERS.values():
+            with pytest.raises(FlowError, match="finite"):
+                call([[0.0, np.inf]])
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(FlowError):
-            PointSet([[1.0, 2.0, 3.0]])
+        for call in POINT_CALLERS.values():
+            with pytest.raises(FlowError, match=r"\(N, 2\)"):
+                call([[1.0, 2.0, 3.0]])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_raises_exactly_on_non_finite_coordinates(self, data):
+        h, w = data.draw(GRID_SHAPES)
+        points = data.draw(st.lists(st.tuples(COORDINATES, COORDINATES), max_size=20))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = len(points)
+        vectors = rng.uniform(-3.0, 3.0, size=(h, w, 2))
+        mask = rng.uniform(size=(h, w)) < 0.8
+        calls = [
+            (lambda: bilinear_sample(rng.normal(size=(h, w)), points), (n,), (n,)),
+            (lambda: bilinear_sample(rng.normal(size=(h, w, 3)), points), (n, 3), (n,)),
+            (lambda: track(FlowField(vectors, "s", mask), points), (n, 2), (n,)),
+            (lambda: track(FlowField(vectors, "t", mask), points), (n, 2), (n,)),
+            (
+                lambda: grid_from_unstructured_data(points, rng.normal(size=(n, 3)), (h, w)),
+                (h, w, 3),
+                (h, w),
+            ),
+        ]
+        finite = bool(np.isfinite(np.reshape(points, (-1, 2))).all())
+        for call, values_shape, flags_shape in calls:
+            if not finite:
+                with pytest.raises(FlowError):
+                    call()
+                continue
+            values, flags = call()
+            assert values.shape == values_shape and flags.shape == flags_shape
+            assert np.isfinite(values).all()
 
 
 class TestAffineTransform:

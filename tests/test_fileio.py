@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from flowfield import FlowError, FlowField, Reference, zeros
 from flowfield.fileio import (
+    _PNM_HEADER,
     FLO_MAGIC,
     INVALID_SENTINEL,
     load_flow,
@@ -148,6 +150,61 @@ class TestSidecar:
             load_flow(path)
 
 
+def read_pnm_tokens_loop(blob: bytes, count: int) -> tuple[list[int], int]:
+    """Byte-at-a-time header tokenizer that `_PNM_HEADER` replaced; the oracle.
+
+    Returns the first `count` whitespace/comment-delimited integers and the
+    offset just past the whitespace byte that ends the last one.
+    """
+    tokens: list[int] = []
+    pos = 0
+    current = bytearray()
+    while len(tokens) < count and pos < len(blob):
+        ch = blob[pos : pos + 1]
+        pos += 1
+        if ch == b"#":
+            while pos < len(blob) and blob[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif ch.isspace():
+            if current:
+                try:
+                    tokens.append(int(current))
+                except ValueError:
+                    raise FlowError(f"bad pixmap header token {bytes(current[:20])!r}") from None
+                current = bytearray()
+        else:
+            current += ch
+    if len(tokens) < count:
+        raise FlowError("truncated pixmap header")
+    return tokens, pos
+
+
+_NEWLINE_FREE = st.lists(st.sampled_from(b" \t\x0b\x0c#x0\xff"), max_size=8).map(bytes)
+_PNM_GAP = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]) | st.builds(
+    lambda text, end: b"#" + text + end, _NEWLINE_FREE, st.sampled_from([b"\n", b"\r\n", b"\r", b""])
+)
+
+
+@st.composite
+def pnm_header_bytes(draw) -> bytes:
+    """Pixmap bytes after the magic: three tokens between gaps, then a payload.
+
+    Tokens are up to ten decimal digits, leading zeros included, or junk that
+    `int()` refuses; gaps mix whitespace and comments, and the result may be
+    truncated anywhere.
+    """
+    digits = st.text("0123456789", min_size=1, max_size=10).map(str.encode)
+    junk = st.sampled_from([b"x", b"2x", b"1.5", b"0x1", b"\xff"])
+    parts = [b"".join(draw(st.lists(_PNM_GAP, max_size=3)))]
+    for _ in range(3):
+        parts.append(draw(junk if draw(st.integers(0, 9)) == 0 else digits))
+        parts.append(b"".join(draw(st.lists(_PNM_GAP, min_size=1, max_size=3))))
+    data = b"".join(parts) + draw(st.binary(max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
 class TestPixmaps:
     def test_rgb_roundtrip_bit_exact(self, tmp_path, rng):
         image = rng.integers(0, 256, size=(2, 2, 3), dtype=np.uint8)
@@ -177,14 +234,51 @@ class TestPixmaps:
 
     @pytest.mark.parametrize(
         "header",
-        [b"P5\n-2 -3\n255\n", b"P6\nab 3\n255\n", b"P5\n0 3\n255\n", b"P6\n2 3x\n255\n"],
-        ids=["negative-dims", "non-integer", "zero-width", "trailing-junk"],
+        [
+            b"P5\n-2 -3\n255\n",
+            b"P6\nab 3\n255\n",
+            b"P5\n0 3\n255\n",
+            b"P6\n2 3x\n255\n",
+            b"P5\n+2 3\n255\n",
+            b"P5\n1_0 3\n255\n",
+            b"P5\n00000000002 3\n255\n",
+        ],
+        ids=[
+            "negative-dims",
+            "non-integer",
+            "zero-width",
+            "trailing-junk",
+            "plus-sign",
+            "underscore",
+            "eleven-digits",
+        ],
     )
     def test_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "bad.pnm"
         path.write_bytes(header + b"\0" * 64)
         with pytest.raises(FlowError):
             read_image(path)
+
+    def test_long_header_token_rejected_quickly(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n" + b"7" * 20_000_000)
+        start = time.perf_counter()
+        with pytest.raises(FlowError):
+            read_image(path)
+        assert time.perf_counter() - start < 1.0
+
+    @given(data=pnm_header_bytes())
+    @settings(max_examples=500, deadline=None)
+    def test_header_regex_matches_tokenizer_loop(self, data):
+        header = _PNM_HEADER.match(data)
+        try:
+            tokens, offset = read_pnm_tokens_loop(data, 3)
+        except FlowError:
+            assert header is None
+        else:
+            assert header is not None
+            assert [int(t) for t in header.groups()] == tokens
+            assert header.end() == offset
 
     def test_non_uint8_rejected(self, tmp_path):
         with pytest.raises(FlowError):

@@ -209,9 +209,11 @@ class TestSplatInputContract:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflowing_sum_rejected(self, sign):
-        # Two finite values near the float64 limit sum to inf in one cell.
-        with pytest.raises(FlowError, match="overflow"):
-            grid_from_unstructured_data([[0.0, 0.0]] * 2, [sign * 1.5e308] * 2, (1, 1))
+        # Two finite values near the float64 limit sum to inf in one cell,
+        # within one corner's bincount or across two corners' sums.
+        for positions in ([[0.0, 0.0]] * 2, [[0.0, 0.0], [-0.5, 0.0]]):
+            with pytest.raises(FlowError, match="overflow"):
+                grid_from_unstructured_data(positions, [sign * 1.5e308] * 2, (1, 1))
 
     def test_near_limit_values_that_fit_pass(self):
         grid, mask = grid_from_unstructured_data([[0.0, 0.0]], [1.5e308], (1, 1))

@@ -100,13 +100,13 @@ class TestApply:
 class TestTrack:
     def test_zero_flow_keeps_points(self):
         pts, ok = track(zeros((5, 5)), [[1.25, 3.5], [0.0, 0.0]])
-        assert np.array_equal(pts.coords, [[1.25, 3.5], [0.0, 0.0]])
+        assert np.array_equal(pts, [[1.25, 3.5], [0.0, 0.0]])
         assert ok.all()
 
     def test_constant_flow_translates(self):
         f = constant_flow((20, 20), 3.0, -1.0, "s")
         pts, ok = track(f, [[10.0, 10.0]])
-        assert np.allclose(pts.coords, [[13.0, 9.0]])
+        assert np.allclose(pts, [[13.0, 9.0]])
         assert ok.all()
 
     def test_rotation_matches_matrix(self):
@@ -115,13 +115,13 @@ class TestTrack:
         f = from_transforms([("rotation", 0, 0, 30)], (8, 8), "s")
         pts, ok = track(f, [[1.0, 0.0]])
         assert ok.all()
-        assert np.allclose(pts.coords, [[np.cos(np.pi / 6), np.sin(np.pi / 6)]], atol=1e-9)
+        assert np.allclose(pts, [[np.cos(np.pi / 6), np.sin(np.pi / 6)]], atol=1e-9)
 
     def test_target_reference_goes_through_switch(self):
         f = constant_flow((30, 30), 4.0, 2.0, "t")
         pts, ok = track(f, [[12.0, 12.0]])
         assert ok.all()
-        assert np.allclose(pts.coords, [[16.0, 14.0]], atol=1e-9)
+        assert np.allclose(pts, [[16.0, 14.0]], atol=1e-9)
 
     def test_out_of_bounds_and_invalid_points_flagged(self):
         mask = np.ones((6, 6), dtype=bool)
@@ -138,11 +138,14 @@ class TestTrack:
         lattice = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
         pts, ok = track(f, lattice)
         assert ok.all()
-        assert np.array_equal(pts.coords, lattice + vec.reshape(-1, 2))
+        assert np.array_equal(pts, lattice + vec.reshape(-1, 2))
+        assert not np.shares_memory(pts, lattice)
 
     def test_empty_point_set(self):
-        pts, ok = track(zeros((3, 3)), [])
-        assert len(pts) == 0 and ok.shape == (0,)
+        points = np.zeros((0, 2))
+        pts, ok = track(zeros((3, 3)), points)
+        assert pts.shape == (0, 2) and ok.shape == (0,)
+        assert pts is not points
 
 
 class TestSwitchReference:
