@@ -118,9 +118,6 @@ class Padding:
             self.right + other.right,
         )
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.top, self.bottom, self.left, self.right)
-
 
 def _points(points) -> np.ndarray:
     """Point coordinates as a float64 (N, 2) array, without copying one.
@@ -443,11 +440,11 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     points = np.column_stack([gx.ravel(), gy.ravel()])
 
     sampled, valid = masked_bilinear_sample(field.vectors, field.mask, points)
-    vectors = sampled.reshape(new_h, new_w, 2)
-    vectors[..., 0] *= sx
-    vectors[..., 1] *= sy
-    mask = valid.reshape(new_h, new_w)
-    return FlowField(vectors, field.reference, mask)
+    with np.errstate(over="ignore"):
+        vectors = sampled.reshape(new_h, new_w, 2) * (sx, sy)
+    if not np.isfinite(vectors).all():
+        raise FlowError("resized vectors overflow float64")
+    return FlowField._trusted(vectors, field.reference, valid.reshape(new_h, new_w))
 
 
 def pad(field: FlowField, padding: Padding) -> FlowField:

@@ -60,8 +60,11 @@ def save_flow(path, field: FlowField) -> None:
     h, w = field.shape
     if h > MAX_DIM or w > MAX_DIM:
         raise FlowError(f"flow dims {(h, w)} exceed the .flo limit of {MAX_DIM}")
-    data = field.vectors.astype("<f4")
+    with np.errstate(over="ignore"):
+        data = field.vectors.astype("<f4")
     data[~field.mask] = INVALID_SENTINEL
+    if not np.isfinite(data).all():
+        raise FlowError("flow vectors overflow the float32 range of .flo")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<fii", FLO_MAGIC, w, h))
         fh.write(data.tobytes())
@@ -122,7 +125,9 @@ def write_mask(path, mask) -> None:
 
 # Width, height and maxval after the magic: decimal tokens of at most ten
 # digits, separated by whitespace and by '#' comments that run to the end of
-# the line, then exactly one whitespace byte before the payload.
+# the line, then exactly one whitespace byte before the payload, all within
+# MAX_PNM_HEADER bytes, which bounds the regex's backtracking and stack.
+MAX_PNM_HEADER = 1 << 16
 _PNM_SEP = rb"\s*(?:#[^\r\n]*[\r\n]\s*)*"
 _PNM_TOKEN = rb"(\d{1,10})(?=[\s#])"
 _PNM_HEADER = re.compile(3 * (_PNM_SEP + _PNM_TOKEN) + rb"(?:#[^\r\n]*[\r\n]|\s)")
@@ -134,7 +139,7 @@ def read_image(path):
     if blob[:2] not in (b"P5", b"P6"):
         raise FlowError(f"{path}: not a binary pixmap (P5/P6)")
     channels = 3 if blob[:2] == b"P6" else 1
-    header = _PNM_HEADER.match(blob, 2)
+    header = _PNM_HEADER.match(blob, 2, MAX_PNM_HEADER)
     if header is None:
         raise FlowError(f"{path}: bad or truncated pixmap header")
     w, h, maxval = map(int, header.groups())

@@ -1,5 +1,9 @@
 """Single-flow operations: warping, tracking, inversion, evaluation.
 
+A source-reference vector at grid cell g points from g to g + F(g), a
+target-reference one from g - F(g) to g; `_far_ends` forms that far end, the
+cell's position in the other frame, for every op that needs it.
+
 All functions are pure; they never mutate their inputs. Source-reference
 warps are forward splats (unstructured-to-grid interpolation) and can leave
 uncovered cells, which surface as false mask bits. Target-reference warps
@@ -45,6 +49,14 @@ __all__ = [
 ]
 
 
+def _far_ends(field: FlowField) -> np.ndarray:
+    """(H, W, 2) far end of each cell's vector; invalid cells keep their own position."""
+    # Formed in place on a fresh grid: one grid-sized array fewer at a warp's peak.
+    ends = grid_coordinates(field.shape)
+    step = np.add if field.reference is Reference.SOURCE else np.subtract
+    return step(ends, field.masked_vectors(), out=ends)
+
+
 def apply(field: FlowField, data, data_mask=None):
     """Warp grid data with a flow field.
 
@@ -75,28 +87,16 @@ def apply(field: FlowField, data, data_mask=None):
     h, w = field.shape
     if arr.shape[:2] != (h, w):
         raise FlowError(f"data dims {arr.shape[:2]} do not match flow dims {(h, w)}")
-    if data_mask is None:
-        dmask = None
-    else:
-        dmask = np.asarray(data_mask).astype(bool)
-        if dmask.shape != (h, w):
-            raise FlowError(f"data_mask shape {dmask.shape} does not match flow dims {(h, w)}")
+    dmask = np.ones((h, w), bool) if data_mask is None else np.asarray(data_mask).astype(bool)
+    if dmask.shape != (h, w):
+        raise FlowError(f"data_mask shape {dmask.shape} does not match flow dims {(h, w)}")
 
-    # Endpoints are formed in place on the fresh grid to save one grid-sized
-    # array at the peak of the warp.
-    grid = grid_coordinates((h, w))
-
+    ends = _far_ends(field)
     if field.reference is Reference.SOURCE:
-        emit = field.mask if dmask is None else (field.mask & dmask)
-        grid += field.vectors
-        positions = grid[emit]
-        values = arr[emit]
-        warped, mask = grid_from_unstructured_data(positions, values, (h, w))
+        emit = field.mask & dmask
+        warped, mask = grid_from_unstructured_data(ends[emit], arr[emit], (h, w))
     else:
-        grid -= field.masked_vectors()
-        points = grid.reshape(-1, 2)
-        dmask_full = np.ones((h, w), dtype=bool) if dmask is None else dmask
-        values, valid = masked_bilinear_sample(arr, dmask_full, points)
+        values, valid = masked_bilinear_sample(arr, dmask, ends.reshape(-1, 2))
         mask = valid.reshape(h, w) & field.mask
         warped = values.reshape(h, w, -1)
         warped[~mask] = 0.0
@@ -135,30 +135,26 @@ def track(field: FlowField, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _carry(field: FlowField, payload: np.ndarray, reference: Reference) -> FlowField:
-    """Forward-warp `payload` by the source-reference form of `field`.
+    """Splat the (H, W, 2) `payload` of each valid cell to its far end.
 
-    The carrier is the field itself, or its negation for a target-reference
-    field. Only valid cells of `field` emit; the result is labelled with
-    `reference`.
+    The result lies on the grid of the other frame and is labelled with
+    `reference`. Only valid cells are gathered, so `payload` may hold
+    anything on invalid ones.
     """
-    if field.reference is Reference.SOURCE:
-        carrier = field
-    else:
-        carrier = FlowField._trusted(-field.masked_vectors(), Reference.SOURCE, field.mask)
-    warped, mask = apply(carrier, payload, data_mask=field.mask)
-    return FlowField._trusted(warped, reference, mask)
+    m = field.mask
+    vectors, mask = grid_from_unstructured_data(_far_ends(field)[m], payload[m], field.shape)
+    return FlowField._trusted(vectors, reference, mask)
 
 
 def switch_reference(field: FlowField) -> FlowField:
     """Re-express a flow in the opposite frame of reference.
 
-    Source to target: the vector grid is forward-warped by the flow itself,
-    landing the vectors on the grid of the frame they point into. Target to
-    source: the vectors are forward-warped by the auxiliary source-reference
-    flow with negated vectors (the same motion seen from the other end).
+    Each valid vector is splatted to its far end: from g to g + F(g) onto
+    the grid of the frame it points into (source to target), or to
+    g - F(g) onto the grid of the frame it comes from (target to source).
     Uncovered cells come back mask-false.
     """
-    return _carry(field, field.masked_vectors(), field.reference.opposite)
+    return _carry(field, field.vectors, field.reference.opposite)
 
 
 def invert(field: FlowField) -> FlowField:
@@ -168,23 +164,23 @@ def invert(field: FlowField) -> FlowField:
     vectors are carried onto the grid of the other frame, where they
     describe the reverse motion. Uncovered cells come back mask-false.
     """
-    return _carry(field, -field.masked_vectors(), field.reference)
+    return _carry(field, -field.vectors, field.reference)
 
 
-def _endpoints_in_bounds(field: FlowField, sign: float) -> np.ndarray:
-    h, w = field.shape
-    pts = grid_coordinates((h, w)) + sign * field.masked_vectors()
-    return _in_bounds(pts[..., 0], pts[..., 1], h, w) & field.mask
+def _lands_in_grid(field: FlowField) -> np.ndarray:
+    """Valid cells whose far end lies on the grid, within `OUT_OF_BOUNDS_TOL`."""
+    ends = _far_ends(field)
+    return _in_bounds(ends[..., 0], ends[..., 1], *field.shape) & field.mask
 
 
 def valid_target(field: FlowField) -> np.ndarray:
     """Mask of the grid cells that receive data when the flow is applied.
 
     Target-reference flows use the exact in-bounds test of each cell's
-    endpoint; source-reference flows warp an all-ones matrix.
+    far end; source-reference flows warp an all-ones matrix.
     """
     if field.reference is Reference.TARGET:
-        return _endpoints_in_bounds(field, -1.0)
+        return _lands_in_grid(field)
     _, mask = apply(field, np.ones(field.shape))
     return mask
 
@@ -193,11 +189,11 @@ def valid_source(field: FlowField) -> np.ndarray:
     """Mask of the grid cells whose content survives applying the flow.
 
     Source-reference flows use the exact in-bounds test of each cell's
-    endpoint; target-reference flows warp an all-ones matrix with the
+    far end; target-reference flows warp an all-ones matrix with the
     inverted flow.
     """
     if field.reference is Reference.SOURCE:
-        return _endpoints_in_bounds(field, 1.0)
+        return _lands_in_grid(field)
     _, mask = apply(invert(field), np.ones(field.shape))
     return mask
 
@@ -205,18 +201,16 @@ def valid_source(field: FlowField) -> np.ndarray:
 def get_padding(field: FlowField) -> Padding:
     """Minimal padding so the padded flow covers the original region.
 
-    Looks at the extremes of the continuous endpoints g + F (source) or
-    g - F (target) over all valid cells and rounds the overhang beyond
-    each grid edge up to whole pixels. Extremes within `OUT_OF_BOUNDS_TOL`
+    Looks at the extremes of the far ends g + F (source) or g - F (target)
+    over all valid cells and rounds the overhang beyond each grid edge up
+    to whole pixels. Extremes within `OUT_OF_BOUNDS_TOL`
     of an integer do not round up, so an endpoint that the in-bounds test
     counts as inside needs no padding. All-invalid flows need no padding.
     """
     if not field.mask.any():
         return Padding(0, 0, 0, 0)
     h, w = field.shape
-    sign = 1.0 if field.reference is Reference.SOURCE else -1.0
-    pts = (grid_coordinates((h, w)) + sign * field.vectors)[field.mask]
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = _far_ends(field)[field.mask].T
 
     def overhang(amount: float) -> int:
         return max(0, math.ceil(amount - OUT_OF_BOUNDS_TOL))
@@ -236,23 +230,26 @@ def fit_matrix(field: FlowField) -> tuple[AffineTransform, float]:
     cells. Target reference: fits the correspondences (g - F(g)) -> g.
     Returns the transform and the RMS endpoint residual in pixels.
 
-    Raises FlowError when fewer than 3 valid cells exist or the valid
-    cells are collinear.
+    Raises FlowError when fewer than 3 valid cells exist, the support is
+    degenerate, or the fit overflows float64.
     """
     if np.count_nonzero(field.mask) < 3:
         raise FlowError("matrix fit needs at least 3 valid cells")
     grid = grid_coordinates(field.shape)[field.mask]
-    vecs = field.vectors[field.mask]
-    if field.reference is Reference.SOURCE:
-        src, dst = grid, grid + vecs
-    else:
-        src, dst = grid - vecs, grid
+    ends = _far_ends(field)[field.mask]
+    src, dst = (grid, ends) if field.reference is Reference.SOURCE else (ends, grid)
     design = np.column_stack([src, np.ones(len(src))])
-    solution, _, rank, _ = np.linalg.lstsq(design, dst, rcond=None)
-    if rank < 3:
+    # Overflow near the float64 limit is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        solution, _, rank, _ = np.linalg.lstsq(design, dst, rcond=None)
+        residual = design @ solution - dst
+        rms = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
+    if rank < 3 and field.reference is Reference.SOURCE:
         raise FlowError("matrix fit support is degenerate (collinear valid cells)")
-    residual = design @ solution - dst
-    rms = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
+    if rank < 3:
+        raise FlowError("matrix fit is ill-conditioned (start points on a line or too large)")
+    if not np.isfinite(rms):
+        raise FlowError("matrix fit overflows float64")
     matrix = np.eye(3)
     matrix[:2, :] = solution.T
     return AffineTransform(matrix), rms

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FlowError, FlowField, Reference, grid_coordinates
+from .ops import _far_ends
 
 __all__ = ["render_arrows", "render_colorwheel"]
 
@@ -45,14 +46,18 @@ def render_colorwheel(field: FlowField, max_magnitude: float | None = None) -> n
     without motion. Invalid cells are black.
     """
     vec = field.masked_vectors()
-    magnitude = np.hypot(vec[..., 0], vec[..., 1])
+    with np.errstate(over="ignore"):
+        magnitude = np.hypot(vec[..., 0], vec[..., 1])
+    if not np.isfinite(magnitude).all():
+        raise FlowError("vector magnitudes overflow float64")
     if max_magnitude is None:
         peak = float(magnitude[field.mask].max()) if field.mask.any() else 0.0
         max_magnitude = peak if peak > 0 else 1.0
     elif not 0 < max_magnitude < np.inf:
         raise FlowError(f"max_magnitude must be positive and finite, got {max_magnitude}")
     hue = np.degrees(np.arctan2(-vec[..., 1], vec[..., 0])) % 360.0
-    sat = np.clip(magnitude / max_magnitude, 0.0, 1.0)
+    # Clipped before the division, which a tiny max_magnitude could overflow.
+    sat = np.minimum(magnitude, max_magnitude) / max_magnitude
     rgb = _hsv_to_rgb(hue, sat, np.ones_like(sat))
     rgb[~field.mask] = 0.0
     return np.round(rgb * 255.0).astype(np.uint8)
@@ -130,12 +135,8 @@ def render_arrows(
             raise FlowError(f"background shape {image.shape} does not match flow dims {(h, w)}")
         image = image.astype(np.uint8).copy()
 
-    grid = grid_coordinates((h, w))
-    vec = field.masked_vectors()
-    if field.reference is Reference.SOURCE:
-        start, end = grid, grid + vec
-    else:
-        start, end = grid - vec, grid
+    grid, ends = grid_coordinates((h, w)), _far_ends(field)
+    start, end = (grid, ends) if field.reference is Reference.SOURCE else (ends, grid)
 
     for gy in range(stride // 2, h, stride):
         for gx in range(stride // 2, w, stride):

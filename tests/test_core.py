@@ -298,6 +298,11 @@ class TestResize:
         with pytest.raises(FlowError):
             resize(zeros((4, 4)), bad)
 
+    def test_overflowing_vectors_rejected(self):
+        f = FlowField(np.full((3, 4, 2), 1.7e308), "s")
+        with pytest.raises(FlowError, match="overflow"):
+            resize(f, (2, 2))
+
     def test_affine_flow_resamples_consistently(self):
         # Doubling the grid of an affine flow halves nothing: the resized
         # field must match the analytic flow of the same transform drawn

@@ -15,6 +15,7 @@ from flowfield.fileio import (
     _PNM_HEADER,
     FLO_MAGIC,
     INVALID_SENTINEL,
+    MAX_PNM_HEADER,
     load_flow,
     read_image,
     save_flow,
@@ -85,6 +86,11 @@ class TestFloFormat:
         assert (magic, w, h) == (FLO_MAGIC, 2, 1)
         assert blob[:4] == b"PIEH"
         assert struct.unpack("<4f", blob[12:]) == (1.0, 2.0, 3.0, 4.0)
+
+    def test_float32_overflow_rejected(self, tmp_path):
+        # 1e39 is finite in float64 but past the float32 range of the file.
+        with pytest.raises(FlowError, match="float32"):
+            save_flow(tmp_path / "big.flo", FlowField(np.full((2, 2, 2), 1e39), "s"))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.flo"
@@ -266,6 +272,25 @@ class TestPixmaps:
         with pytest.raises(FlowError):
             read_image(path)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "tail", [b" " * 20_000_000, b" #" + b"x" * 20_000_000], ids=["whitespace", "open-comment"]
+    )
+    def test_long_header_separator_rejected_quickly(self, tmp_path, tail):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5" + tail)
+        start = time.perf_counter()
+        with pytest.raises(FlowError):
+            read_image(path)
+        assert time.perf_counter() - start < 0.5
+
+    def test_header_past_the_cap_rejected(self, tmp_path):
+        path = tmp_path / "padded.pgm"
+        path.write_bytes(b"P5" + b" " * MAX_PNM_HEADER + b"2 1\n255\n\x07\x09")
+        with pytest.raises(FlowError, match="header"):
+            read_image(path)
+        path.write_bytes(b"P5" + b" " * (MAX_PNM_HEADER - 20) + b"2 1\n255\n\x07\x09")
+        assert np.array_equal(read_image(path), [[7, 9]])
 
     @given(data=pnm_header_bytes())
     @settings(max_examples=500, deadline=None)

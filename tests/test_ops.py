@@ -368,6 +368,23 @@ class TestFitMatrix:
         with pytest.raises(FlowError):
             fit_matrix(FlowField(np.zeros((5, 5, 2)), "s", mask))
 
+    @pytest.mark.parametrize("scale", [1e307, 1.7e308])
+    def test_overflow_rejected(self, scale):
+        # The support is a full grid; the fit of its far ends overflows in
+        # the residual (and at 1.7e308 in its subtraction).
+        vectors = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 7, 2)) * scale
+        with pytest.raises(FlowError, match="overflow"):
+            fit_matrix(FlowField(vectors, "s"))
+
+    @pytest.mark.parametrize("scale", [1e307, 1.7e308])
+    def test_huge_target_start_points_not_blamed_on_cells(self, scale):
+        # All 42 cells are valid and span the plane; only the start points
+        # g - F(g) are too large for the fit.
+        vectors = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 7, 2)) * scale
+        with pytest.raises(FlowError, match="too large") as info:
+            fit_matrix(FlowField(vectors, "t"))
+        assert "collinear" not in str(info.value)
+
 
 class TestMapVectors:
     def test_cube_components(self):

@@ -86,6 +86,15 @@ class TestColorwheel:
         with pytest.raises(FlowError):
             render_colorwheel(zeros((2, 2)), max_magnitude=bad)
 
+    def test_overflowing_magnitude_rejected(self):
+        # hypot(1.7e308, 1.7e308) exceeds the float64 limit.
+        with pytest.raises(FlowError, match="overflow"):
+            render_colorwheel(constant_flow((3, 4), 1.7e308, 1.7e308))
+
+    def test_tiny_max_magnitude_saturates(self):
+        img = render_colorwheel(constant_flow((3, 4), 1e10, 0.0), max_magnitude=1e-300)
+        assert np.array_equal(img, np.broadcast_to([255, 0, 0], (3, 4, 3)))
+
     def test_every_pixel_valid_rgb_and_dims_match(self, rng):
         vec = rng.normal(scale=3.0, size=(7, 9, 2))
         img = render_colorwheel(FlowField(vec, "t"))
