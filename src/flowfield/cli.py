@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Flows travel as .flo files with a .ref reference sidecar (written on
-output, consulted on input, overridable with --ref); images and masks
+output, consulted on input); every command that reads one flow takes it
+as -f/--flow, with --ref to override its reference. Images and masks
 travel as binary pixmaps. Exit codes: 0 success, 1 usage error, 2 data
 error. Kernels are always deterministic, so a fixed seed pins
 `verify-compose` byte for byte.
@@ -9,19 +10,22 @@ error. Kernels are always deterministic, so a fixed seed pins
 
 from __future__ import annotations
 
+import functools
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
 from .compose import combine as combine_flows
-from .core import FlowError, Padding, from_transforms
+from .core import _STEP_ARITY, FlowError, Padding, from_transforms
 from .core import pad as pad_flow
 from .core import resize as resize_flow
 from .core import unpad as unpad_flow
 from .demo import run_synthetic_demo
 from .fileio import load_flow, read_image, save_flow, write_image, write_mask
+from .ops import apply as apply_flow
 from .ops import fit_matrix, get_padding, invert, switch_reference, track, valid_source, valid_target
 from .verify import run_trials
 from .viz import render_arrows, render_colorwheel
@@ -31,9 +35,6 @@ TRANSFORM_GRAMMAR = (
     "'translation:TX,TY', 'rotation:CX,CY,DEGREES' or "
     "'scaling:CX,CY,FACTOR'; steps apply left to right."
 )
-
-
-_TRANSFORM_ARITY = {"translation": 2, "rotation": 3, "scaling": 3}
 
 
 def parse_transforms(spec: str):
@@ -48,7 +49,7 @@ def parse_transforms(spec: str):
             values = [float(v) for v in args.split(",")] if args else []
         except ValueError:
             raise click.UsageError(f"bad transform arguments in {chunk!r}. {TRANSFORM_GRAMMAR}")
-        if _TRANSFORM_ARITY.get(name) != len(values):
+        if _STEP_ARITY.get(name) != len(values):
             raise click.UsageError(f"bad transform step {chunk!r}. {TRANSFORM_GRAMMAR}")
         transforms.append((name, *values))
     if not transforms:
@@ -74,10 +75,20 @@ def parse_padding(text: str) -> Padding:
         raise click.UsageError(f"padding must be T,B,L,R non-negative integers, got {text!r}")
 
 
-ref_option = click.option(
-    "--ref", "ref_override", type=click.Choice(["s", "t"]), default=None,
-    help="Override the reference of the input flow (default: .ref sidecar, else s).",
-)
+def reads_flow(command):
+    """Give a command -f/--flow and --ref, and pass it the loaded flow as `field`."""
+
+    @click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+    @click.option(
+        "--ref", "ref_override", type=click.Choice(["s", "t"]), default=None,
+        help="Override the reference of the input flow (default: .ref sidecar, else s).",
+    )
+    @functools.wraps(command)
+    def load_then_run(flow_path, ref_override, **options):
+        # Looked up per call, so a rebinding of this module's `load_flow` applies.
+        return command(load_flow(flow_path, ref_override), **options)
+
+    return load_then_run
 
 
 @click.group(
@@ -104,16 +115,12 @@ def make(transforms, size, ref, padding, output):
 
 
 @cli.command("apply")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("-i", "--image", "image_path", required=True, type=click.Path(dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 @click.option("--mask-out", default=None, type=click.Path(dir_okay=False))
-@ref_option
-def apply_cmd(flow_path, image_path, output, mask_out, ref_override):
+def apply_cmd(field, image_path, output, mask_out):
     """Warp an image (P5/P6 pixmap) with a flow field."""
-    from .ops import apply as apply_flow
-
-    field = load_flow(flow_path, ref_override)
     image = read_image(image_path)
     warped, mask = apply_flow(field, image.astype(np.float64))
     write_image(output, np.clip(np.round(warped), 0, 255).astype(np.uint8))
@@ -122,55 +129,50 @@ def apply_cmd(flow_path, image_path, output, mask_out, ref_override):
 
 
 @cli.command("invert")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def invert_cmd(flow_path, output, ref_override):
+def invert_cmd(field, output):
     """Invert the temporal direction of a flow."""
-    save_flow(output, invert(load_flow(flow_path, ref_override)))
+    save_flow(output, invert(field))
 
 
 @cli.command("switch-ref")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def switch_ref_cmd(flow_path, output, ref_override):
+def switch_ref_cmd(field, output):
     """Switch a flow between source and target reference."""
-    save_flow(output, switch_reference(load_flow(flow_path, ref_override)))
+    save_flow(output, switch_reference(field))
 
 
 @cli.command("resize")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("--scale", required=True, help="Scale factors as SY,SX.")
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def resize_cmd(flow_path, scale, output, ref_override):
+def resize_cmd(field, scale, output):
     """Resample a flow to new dimensions."""
     try:
         sy, sx = (float(v) for v in scale.split(","))
     except ValueError:
         raise click.UsageError(f"scale must be SY,SX, got {scale!r}")
-    save_flow(output, resize_flow(load_flow(flow_path, ref_override), (sy, sx)))
+    save_flow(output, resize_flow(field, (sy, sx)))
 
 
 @cli.command("pad")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("--padding", required=True, help="Amounts as T,B,L,R.")
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def pad_cmd(flow_path, padding, output, ref_override):
+def pad_cmd(field, padding, output):
     """Extend a flow with an invalid zero border."""
-    save_flow(output, pad_flow(load_flow(flow_path, ref_override), parse_padding(padding)))
+    save_flow(output, pad_flow(field, parse_padding(padding)))
 
 
 @cli.command("unpad")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("--padding", required=True, help="Amounts as T,B,L,R.")
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def unpad_cmd(flow_path, padding, output, ref_override):
+def unpad_cmd(field, padding, output):
     """Crop a previously padded flow."""
-    save_flow(output, unpad_flow(load_flow(flow_path, ref_override), parse_padding(padding)))
+    save_flow(output, unpad_flow(field, parse_padding(padding)))
 
 
 @cli.command("combine")
@@ -186,65 +188,57 @@ def combine_cmd(first_path, second_path, mode, out_ref, output):
 
 
 @cli.command("valid")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("--which", type=click.Choice(["source", "target"]), required=True)
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def valid_cmd(flow_path, which, output, ref_override):
+def valid_cmd(field, which, output):
     """Write the valid source/target area of a flow as a mask pixmap."""
-    field = load_flow(flow_path, ref_override)
     mask = valid_source(field) if which == "source" else valid_target(field)
     write_mask(output, mask)
 
 
 @cli.command("padding")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def padding_cmd(flow_path, ref_override):
+@reads_flow
+def padding_cmd(field):
     """Print the minimal padding (top bottom left right) avoiding invalid areas."""
-    p = get_padding(load_flow(flow_path, ref_override))
+    p = get_padding(field)
     click.echo(f"{p.top} {p.bottom} {p.left} {p.right}")
 
 
 @cli.command("track")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("--points", "points_path", required=True, type=click.Path(dir_okay=False))
 @click.option("-o", "--output", default=None, type=click.Path(dir_okay=False))
-@ref_option
-def track_cmd(flow_path, points_path, output, ref_override):
+def track_cmd(field, points_path, output):
     """Track csv points (x,y per line) through a flow; emits x,y,valid."""
-    field = load_flow(flow_path, ref_override)
+    try:
+        text = Path(points_path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise FlowError(f"{points_path}: points file is not UTF-8 text") from None
     rows = []
-    with open(points_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                x, y = (float(v) for v in line.split(","))
-            except ValueError:
-                raise FlowError(f"bad point line {line!r}; expected x,y")
-            rows.append((x, y))
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            x, y = (float(v) for v in line.split(","))
+        except ValueError:
+            raise FlowError(f"bad point line {line!r}; expected x,y")
+        rows.append((x, y))
     tracked, valid = track(field, rows)
-    lines = [f"{x:.10g},{y:.10g},{int(ok)}" for (x, y), ok in zip(tracked, valid)]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    with click.open_file(output or "-", "w") as fh:
+        for (x, y), ok in zip(tracked, valid):
+            fh.write(f"{x:.10g},{y:.10g},{int(ok)}\n")
 
 
 @cli.command("viz")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
+@reads_flow
 @click.option("--style", type=click.Choice(["wheel", "arrows"]), default="wheel")
 @click.option("--stride", type=int, default=8, show_default=True)
 @click.option("--max-magnitude", type=float, default=None)
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def viz_cmd(flow_path, style, stride, max_magnitude, output, ref_override):
+def viz_cmd(field, style, stride, max_magnitude, output):
     """Render a flow as a color-wheel or arrow image."""
-    field = load_flow(flow_path, ref_override)
     if style == "wheel":
         image = render_colorwheel(field, max_magnitude)
     else:
@@ -253,11 +247,10 @@ def viz_cmd(flow_path, style, stride, max_magnitude, output, ref_override):
 
 
 @cli.command("fit-matrix")
-@click.option("-f", "--flow", "flow_path", required=True, type=click.Path(dir_okay=False))
-@ref_option
-def fit_matrix_cmd(flow_path, ref_override):
+@reads_flow
+def fit_matrix_cmd(field):
     """Print the least-squares affine matrix of a flow and its RMS residual."""
-    matrix, rms = fit_matrix(load_flow(flow_path, ref_override))
+    matrix, rms = fit_matrix(field)
     for row in matrix.matrix:
         click.echo(" ".join(f"{v: .10g}" for v in row))
     click.echo(f"rms_residual_px={rms:.10g}")
@@ -292,11 +285,9 @@ def main(argv=None) -> int:
     """Run the CLI; returns 0, 1 (usage error) or 2 (data error)."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return 1
     except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        prefix = "usage error" if isinstance(exc, click.UsageError) else "error"
+        click.echo(f"{prefix}: {exc.format_message()}", err=True)
         return 1
     except click.exceptions.Abort:
         return 1

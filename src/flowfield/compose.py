@@ -26,11 +26,15 @@ __all__ = ["ComposeMode", "combine"]
 
 
 class ComposeMode(enum.IntEnum):
-    """Which flow of the 1->2, 2->3, 1->3 triple is unknown."""
+    """Which flow of the 1->2, 2->3, 1->3 triple is unknown; other values raise FlowError."""
 
     FLOW_1_2 = 1
     FLOW_2_3 = 2
     FLOW_1_3 = 3
+
+    @classmethod
+    def _missing_(cls, value):
+        raise FlowError(f"mode must be 1, 2 or 3, got {value!r}")
 
 
 # Temporal spans (from, to) of (first input, second input, unknown) per mode.
@@ -81,10 +85,7 @@ def combine(
         result is derived directly in this reference, so no trailing
         reference switch is ever needed.
     """
-    try:
-        mode = ComposeMode(mode)
-    except ValueError:
-        raise FlowError(f"mode must be 1, 2 or 3, got {mode!r}") from None
+    mode = ComposeMode(mode)
     if f_first.shape != f_second.shape:
         raise FlowError(f"flow dims differ: {f_first.shape} vs {f_second.shape}")
     out_ref = (

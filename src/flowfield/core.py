@@ -119,6 +119,11 @@ class Padding:
         )
 
 
+# Named transform steps (each an AffineTransform constructor) and their arity;
+# the CLI's spec grammar reads it, and `verify` draws kinds in its order.
+_STEP_ARITY = {"translation": 2, "rotation": 3, "scaling": 3}
+
+
 def _points(points) -> np.ndarray:
     """Point coordinates as a float64 (N, 2) array, without copying one.
 
@@ -206,15 +211,9 @@ class AffineTransform:
             if not item:
                 raise FlowError("empty transform entry")
             name, args = str(item[0]).lower(), item[1:]
-            if name == "translation" and len(args) == 2:
-                step = cls.translation(*map(float, args))
-            elif name == "rotation" and len(args) == 3:
-                step = cls.rotation(*map(float, args))
-            elif name == "scaling" and len(args) == 3:
-                step = cls.scaling(*map(float, args))
-            else:
+            if _STEP_ARITY.get(name) != len(args):
                 raise FlowError(f"unknown transform {item!r}")
-            combined = step @ combined
+            combined = getattr(cls, name)(*map(float, args)) @ combined
         return combined
 
     def __matmul__(self, other: "AffineTransform") -> "AffineTransform":
@@ -274,13 +273,11 @@ class FlowField:
             m = np.asarray(mask)
             if m.shape != vec.shape[:2]:
                 raise FlowError(f"mask shape {m.shape} does not match vectors {vec.shape[:2]}")
-            m = m.astype(bool)
+            m = m.astype(bool)  # always a copy: caller edits do not leak in
         if not np.all(np.isfinite(vec[m])):
             raise FlowError("non-finite vector components inside the valid mask")
         vec = vec.copy()
         vec.flags.writeable = False
-        if mask is not None:
-            m = m.copy()
         m.flags.writeable = False
         self._vectors = vec
         self._reference = ref

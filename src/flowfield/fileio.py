@@ -62,6 +62,8 @@ def save_flow(path, field: FlowField) -> None:
         raise FlowError(f"flow dims {(h, w)} exceed the .flo limit of {MAX_DIM}")
     with np.errstate(over="ignore"):
         data = field.vectors.astype("<f4")
+    if (np.all(data == INVALID_SENTINEL, axis=2) & field.mask).any():
+        raise FlowError(f"a valid vector equals the invalid-cell sentinel {INVALID_SENTINEL:g}")
     data[~field.mask] = INVALID_SENTINEL
     if not np.isfinite(data).all():
         raise FlowError("flow vectors overflow the float32 range of .flo")

@@ -189,13 +189,10 @@ def valid_source(field: FlowField) -> np.ndarray:
     """Mask of the grid cells whose content survives applying the flow.
 
     Source-reference flows use the exact in-bounds test of each cell's
-    far end; target-reference flows warp an all-ones matrix with the
-    inverted flow.
+    far end; target-reference flows use the same test on the inverted
+    flow, whose cells sit on the source grid.
     """
-    if field.reference is Reference.SOURCE:
-        return _lands_in_grid(field)
-    _, mask = apply(invert(field), np.ones(field.shape))
-    return mask
+    return _lands_in_grid(field if field.reference is Reference.SOURCE else invert(field))
 
 
 def get_padding(field: FlowField) -> Padding:

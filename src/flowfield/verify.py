@@ -18,15 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compose import ComposeMode, combine
-from .core import AffineTransform, FlowError, Reference, from_matrix
+from .compose import _SPANS, ComposeMode, combine
+from .core import _STEP_ARITY, AffineTransform, FlowError, Reference, from_matrix
 
 __all__ = ["AccuracyReport", "run_trials", "random_transform"]
 
 # Relative errors are undefined against (near-)zero true vectors.
 REL_ERROR_MIN_MAGNITUDE = 1e-6
 
-TRANSFORM_KINDS = ("translation", "rotation", "scaling")
+TRANSFORM_KINDS = tuple(_STEP_ARITY)
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,8 @@ def run_trials(
     mode = ComposeMode(mode)
     if trials < 1:
         raise FlowError(f"trials must be >= 1, got {trials}")
+    if not 0.0 <= max_magnitude < np.inf:
+        raise FlowError(f"max_magnitude must be finite and >= 0, got {max_magnitude!r}")
     rng = np.random.default_rng(seed)
 
     n_total = 0
@@ -157,17 +159,13 @@ def run_trials(
 
     for _ in range(trials):
         m12, m23, m13 = trial_matrices(rng, size, max_magnitude)
-        if mode is ComposeMode.FLOW_1_2:
-            known, truth_matrix = (m23, m13), m12
-        elif mode is ComposeMode.FLOW_2_3:
-            known, truth_matrix = (m12, m13), m23
-        else:
-            known, truth_matrix = (m12, m23), m13
+        by_span = {(1, 2): m12, (2, 3): m23, (1, 3): m13}
+        first, second, unknown = (by_span[span] for span in _SPANS[mode])
         ref_out = _random_reference(rng)
-        f_first = from_matrix(known[0], size, _random_reference(rng))
-        f_second = from_matrix(known[1], size, _random_reference(rng))
+        f_first = from_matrix(first, size, _random_reference(rng))
+        f_second = from_matrix(second, size, _random_reference(rng))
         computed = combine(f_first, f_second, mode, ref_out)
-        truth = from_matrix(truth_matrix, size, ref_out)
+        truth = from_matrix(unknown, size, ref_out)
 
         valid = computed.mask
         diff = computed.vectors[valid] - truth.vectors[valid]

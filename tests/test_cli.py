@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowfield.cli
 from flowfield import Reference, load_flow, read_image, save_flow, write_image, zeros
-from flowfield.cli import main
+from flowfield.cli import cli, main
 
 
 def run(*args, capsys=None):
@@ -124,6 +125,26 @@ class TestPipelines:
         assert back.shape == (20, 30)
         assert np.array_equal(back.vectors, load_flow(flo).vectors)
 
+    def test_track_non_utf8_points_is_data_error(self, tmp_path, capsys):
+        flo = tmp_path / "f.flo"
+        pts = tmp_path / "p.csv"
+        save_flow(flo, zeros((4, 4)))
+        pts.write_bytes(b"\xff\xfe1,2\n")
+        code = main(["track", "-f", str(flo), "--points", str(pts)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {pts}: points file is not UTF-8 text\n"
+
+    def test_track_writes_output_file(self, tmp_path, capsys):
+        flo = tmp_path / "f.flo"
+        pts = tmp_path / "p.csv"
+        out = tmp_path / "o.csv"
+        save_flow(flo, zeros((4, 4)))
+        pts.write_text("1,2\n\n5,1.5\n")
+        assert main(["track", "-f", str(flo), "--points", str(pts), "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == "1,2,1\n5,1.5,0\n"
+
     def test_track_points_csv(self, tmp_path, capsys):
         flo = tmp_path / "f.flo"
         pts = tmp_path / "p.csv"
@@ -176,7 +197,73 @@ class TestPipelines:
         assert captured.out.strip() == "2 0 0 3"
 
 
+# The commands that read one flow, each with the other arguments it needs.
+FLOW_COMMANDS = {
+    "apply": ["-i", "in.ppm", "-o", "out.ppm"],
+    "invert": ["-o", "out.flo"],
+    "switch-ref": ["-o", "out.flo"],
+    "resize": ["--scale", "1,1", "-o", "out.flo"],
+    "pad": ["--padding", "1,1,1,1", "-o", "out.flo"],
+    "unpad": ["--padding", "0,0,0,0", "-o", "out.flo"],
+    "valid": ["--which", "source", "-o", "out.pgm"],
+    "padding": [],
+    "track": ["--points", "pts.csv"],
+    "viz": ["-o", "out.ppm"],
+    "fit-matrix": [],
+}
+
+
+class TestFlowInput:
+    def test_flow_commands_are_the_ones_listed(self):
+        reading = {
+            name for name, command in cli.commands.items()
+            if any(param.name == "flow_path" for param in command.params)
+        }
+        assert reading == set(FLOW_COMMANDS)
+        for name in FLOW_COMMANDS:
+            first_two = [param.name for param in cli.commands[name].params[:2]]
+            assert first_two == ["flow_path", "ref_override"]
+
+    @pytest.mark.parametrize("ref", ["s", "t"])
+    @pytest.mark.parametrize("command", sorted(FLOW_COMMANDS))
+    def test_ref_reaches_the_loaded_flow(self, tmp_path, monkeypatch, command, ref):
+        # The flow is loaded through the module's `load_flow` at call time,
+        # so a rebinding of it sees every command's input.
+        save_flow(tmp_path / "f.flo", zeros((4, 5)))
+        write_image(tmp_path / "in.ppm", np.zeros((4, 5, 3), dtype=np.uint8))
+        (tmp_path / "pts.csv").write_text("1,2\n")
+        loaded = []
+
+        def recording_load_flow(path, reference=None):
+            field = load_flow(path, reference)
+            loaded.append(field.reference)
+            return field
+
+        monkeypatch.setattr(flowfield.cli, "load_flow", recording_load_flow)
+        monkeypatch.chdir(tmp_path)
+        code = main([command, "-f", "f.flo", "--ref", ref, *FLOW_COMMANDS[command]])
+        assert code == 0
+        assert loaded == [Reference.parse(ref)]
+
+    @pytest.mark.parametrize("command", sorted(FLOW_COMMANDS))
+    def test_missing_flow_is_usage_error(self, tmp_path, monkeypatch, capsys, command):
+        write_image(tmp_path / "in.ppm", np.zeros((4, 5, 3), dtype=np.uint8))
+        (tmp_path / "pts.csv").write_text("1,2\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *FLOW_COMMANDS[command]]) == 1
+        assert capsys.readouterr().err == "usage error: Missing option '-f' / '--flow'.\n"
+
+
 class TestVerifyCompose:
+    @pytest.mark.parametrize("max_mag", ["nan", "inf", "-5"])
+    def test_bad_max_mag_is_data_error(self, capsys, max_mag):
+        code = main(["verify-compose", "--trials", "1", "--size", "10x12",
+                     "--max-mag", max_mag])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: max_magnitude must be finite and >= 0")
+
     def test_prints_block_and_record(self, capsys):
         code = main(["verify-compose", "--trials", "3", "--size", "30x40",
                      "--max-mag", "5", "--seed", "9", "--mode", "3"])

@@ -92,6 +92,25 @@ class TestFloFormat:
         with pytest.raises(FlowError, match="float32"):
             save_flow(tmp_path / "big.flo", FlowField(np.full((2, 2, 2), 1e39), "s"))
 
+    @pytest.mark.parametrize("value", [INVALID_SENTINEL, INVALID_SENTINEL + 10.0])
+    def test_valid_sentinel_vector_rejected(self, tmp_path, value):
+        # A valid vector whose float32 pair is the sentinel would read back
+        # mask-false; 1e9 + 10 rounds to 1e9 in float32.
+        vec = np.array([[[value, value], [1.0, 2.0]]])
+        path = tmp_path / "s.flo"
+        with pytest.raises(FlowError, match="sentinel"):
+            save_flow(path, FlowField(vec, "s"))
+        assert not path.exists()
+
+    def test_sentinel_in_one_channel_or_under_false_bit_roundtrips(self, tmp_path):
+        vec = np.array([[[INVALID_SENTINEL, 2.0], [INVALID_SENTINEL, INVALID_SENTINEL]]])
+        f = FlowField(vec, "s", [[True, False]])
+        path = tmp_path / "s.flo"
+        save_flow(path, f)
+        back = load_flow(path)
+        assert list(back.mask[0]) == [True, False]
+        assert np.array_equal(back.vectors[0, 0], [INVALID_SENTINEL, 2.0])
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.flo"
         path.write_bytes(struct.pack("<fii", 0.0, 1, 1) + b"\0" * 8)

@@ -299,6 +299,22 @@ class TestValidAreas:
             assert not (diff & interior).any()
         assert differing / total < 0.01
 
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (9, 1), (12, 15)])
+    def test_target_source_area_matches_warp_of_ones(self, shape, seed):
+        # The source area of a target flow is the in-bounds area of its
+        # inverse; warping an all-ones matrix with the inverse gives the
+        # same mask bit for bit, whatever the invalid cells hold.
+        rng = np.random.default_rng(seed)
+        reach = 0.6 * max(shape)
+        vec = rng.uniform(-reach, reach, (*shape, 2))
+        mask = rng.uniform(size=shape) < 0.8
+        junk = rng.choice([np.nan, np.inf, -np.inf, 1e308], size=(*shape, 2))
+        vec[~mask] = junk[~mask]
+        f = FlowField(vec, "t", mask)
+        _, oracle = apply(invert(f), np.ones(f.shape))
+        assert np.array_equal(valid_source(f), oracle)
+
 
 class TestGetPadding:
     def test_zero_flow_needs_none(self):

@@ -69,6 +69,21 @@ class TestRunTrials:
         with pytest.raises(FlowError):
             run_trials(3, 0)
 
+    @pytest.mark.parametrize("mode", [0, 4, "all"])
+    def test_invalid_mode_rejected(self, mode):
+        with pytest.raises(FlowError, match="mode must be 1, 2 or 3"):
+            run_trials(mode, 1, (10, 12))
+
+    @pytest.mark.parametrize("max_magnitude", [np.nan, np.inf, -np.inf, -5.0])
+    def test_invalid_max_magnitude_rejected(self, max_magnitude):
+        with pytest.raises(FlowError, match="max_magnitude"):
+            run_trials(3, 1, (10, 12), max_magnitude)
+
+    def test_zero_max_magnitude_is_exact(self):
+        report = run_trials(3, 2, (10, 12), 0.0)
+        assert report.n_vectors == 2 * 10 * 12
+        assert report.max_abs_err == 0.0
+
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_small_run_is_accurate(self, mode):
         report = run_trials(mode, 20, (60, 80), 15.0, seed=5)
