@@ -65,6 +65,57 @@ def _in_bounds(x: np.ndarray, y: np.ndarray, h: int, w: int) -> np.ndarray:
     return (x >= -tol) & (x <= w - 1 + tol) & (y >= -tol) & (y <= h - 1 + tol)
 
 
+def _grid_rows(grid) -> tuple[np.ndarray, int, int, bool]:
+    """View a non-empty (H, W) or (H, W, C) grid as (H*W, C) float64 rows.
+
+    Returns the rows, H, W and whether a channel axis was added.
+    """
+    data, squeeze = _channels_last(np.asarray(grid, dtype=np.float64))
+    h, w, n_channels = data.shape
+    if h < 1 or w < 1:
+        raise FlowError("grid must be non-empty")
+    return data.reshape(h * w, n_channels), h, w, squeeze
+
+
+def _corners(points, h: int, w: int):
+    """Bilinear stencil of each point on an (H, W) grid.
+
+    Returns the flat indices of the four surrounding cells, their weights
+    (both in the order (0, 0), (1, 0), (0, 1), (1, 1)) and the in-bounds
+    flag. Coordinates are clamped first, so every index is on the grid.
+    """
+    pts = _points(points)
+    x, y = pts[:, 0], pts[:, 1]
+    in_bounds = _in_bounds(x, y, h, w)
+
+    xc = np.clip(x, 0.0, w - 1.0)
+    yc = np.clip(y, 0.0, h - 1.0)
+    x0 = xc.astype(np.intp)  # truncation == floor for non-negative values
+    y0 = yc.astype(np.intp)
+    fx = xc - x0
+    fy = yc - y0
+    x_step = (x0 < w - 1).astype(np.intp)
+    y_step = (y0 < h - 1).astype(np.intp) * w
+
+    base = y0 * w + x0
+    w11 = fx * fy
+    w10 = fy - w11
+    w01 = fx - w11
+    w00 = 1.0 - fx - w10
+    index = (base, base + x_step, base + y_step, base + y_step + x_step)
+    return index, (w00, w01, w10, w11), in_bounds
+
+
+def _blend(rows: np.ndarray, index, weight) -> np.ndarray:
+    """(N, C) bilinear blend of (H*W, C) grid rows over a `_corners` stencil."""
+    return (
+        np.take(rows, index[0], axis=0) * weight[0][:, None]
+        + np.take(rows, index[1], axis=0) * weight[1][:, None]
+        + np.take(rows, index[2], axis=0) * weight[2][:, None]
+        + np.take(rows, index[3], axis=0) * weight[3][:, None]
+    )
+
+
 def bilinear_sample(grid, points):
     """Read a regular grid at continuous positions.
 
@@ -82,37 +133,9 @@ def bilinear_sample(grid, points):
     values : ndarray, shape (N,) or (N, C) matching the grid rank
     in_bounds : ndarray of bool, shape (N,)
     """
-    data = np.asarray(grid, dtype=np.float64)
-    data, squeeze = _channels_last(data)
-    h, w, n_channels = data.shape
-    if h < 1 or w < 1:
-        raise FlowError("grid must be non-empty")
-    pts = _points(points)
-    x, y = pts[:, 0], pts[:, 1]
-
-    in_bounds = _in_bounds(x, y, h, w)
-
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    x0 = xc.astype(np.intp)  # truncation == floor for non-negative values
-    y0 = yc.astype(np.intp)
-    fx = xc - x0
-    fy = yc - y0
-    x_step = (x0 < w - 1).astype(np.intp)
-    y_step = (y0 < h - 1).astype(np.intp) * w
-
-    flat = data.reshape(h * w, n_channels)
-    base = y0 * w + x0
-    w11 = fx * fy
-    w10 = fy - w11
-    w01 = fx - w11
-    w00 = 1.0 - fx - w10
-    values = (
-        np.take(flat, base, axis=0) * w00[:, None]
-        + np.take(flat, base + x_step, axis=0) * w01[:, None]
-        + np.take(flat, base + y_step, axis=0) * w10[:, None]
-        + np.take(flat, base + y_step + x_step, axis=0) * w11[:, None]
-    )
+    rows, h, w, squeeze = _grid_rows(grid)
+    index, weight, in_bounds = _corners(points, h, w)
+    values = _blend(rows, index, weight)
     if squeeze:
         values = values[:, 0]
     return values, in_bounds
@@ -128,6 +151,9 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     blend weight from valid cells are flagged invalid, as are points
     outside the grid; values at invalid points are zero.
 
+    The data and the mask weight are blended over one shared stencil, with
+    the same per-channel arithmetic as two `bilinear_sample` calls.
+
     Data on valid cells must be finite; invalid cells may hold anything.
     """
     arr = np.asarray(data, dtype=np.float64)
@@ -141,16 +167,21 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
         clean = np.where(valid_cells if arr.ndim == 2 else valid_cells[..., None], arr, 0.0)
     if not np.isfinite(clean).all():
         raise FlowError("data must be finite on valid cells")
-    values, in_bounds = bilinear_sample(clean, points)
+    rows, h, w, squeeze = _grid_rows(clean)
+    index, weight, in_bounds = _corners(points, h, w)
+    values = _blend(rows, index, weight)
     if all_valid:
         valid = in_bounds
     else:
-        weight, _ = bilinear_sample(valid_cells.astype(np.float64), points)
-        valid = in_bounds & (weight >= MASK_SAMPLE_THRESHOLD)
-        scale = np.ones_like(weight)
-        np.divide(1.0, weight, out=scale, where=valid)
-        values = values * (scale[:, None] if values.ndim == 2 else scale)
+        cell_weight = valid_cells.reshape(h * w, 1).astype(np.float64)
+        coverage = _blend(cell_weight, index, weight)[:, 0]
+        valid = in_bounds & (coverage >= MASK_SAMPLE_THRESHOLD)
+        scale = np.ones_like(coverage)
+        np.divide(1.0, coverage, out=scale, where=valid)
+        values = values * scale[:, None]
     values[~valid] = 0.0
+    if squeeze:
+        values = values[:, 0]
     return values, valid
 
 
@@ -202,7 +233,8 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     x, y = pts[:, 0], pts[:, 1]
     keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
     if not np.all(keep):
-        x, y, vals = x[keep], y[keep], vals[keep]
+        # compress: boolean indexing gathers (N, C) rows several times slower.
+        x, y, vals = x[keep], y[keep], np.compress(keep, vals, axis=0)
 
     # A kept sample's corners span [-1, W+1] x [-1, H+1]; a border of one
     # cell below and two above holds them all, so no corner needs a test.

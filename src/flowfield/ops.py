@@ -57,6 +57,16 @@ def _far_ends(field: FlowField) -> np.ndarray:
     return step(ends, field.masked_vectors(), out=ends)
 
 
+def _rows_at(mask: np.ndarray, *grids: np.ndarray) -> list[np.ndarray]:
+    """Each (H, W, C) grid's (N, C) rows at the true cells of `mask`.
+
+    The same rows, in the same order, as `grid[mask]`, which numpy gathers
+    several times slower than a `take` of the flat cell indices.
+    """
+    cells = np.flatnonzero(mask)
+    return [grid.reshape(mask.size, -1).take(cells, axis=0) for grid in grids]
+
+
 def apply(field: FlowField, data, data_mask=None):
     """Warp grid data with a flow field.
 
@@ -93,8 +103,8 @@ def apply(field: FlowField, data, data_mask=None):
 
     ends = _far_ends(field)
     if field.reference is Reference.SOURCE:
-        emit = field.mask & dmask
-        warped, mask = grid_from_unstructured_data(ends[emit], arr[emit], (h, w))
+        positions, values = _rows_at(field.mask & dmask, ends, arr)
+        warped, mask = grid_from_unstructured_data(positions, values, (h, w))
     else:
         values, valid = masked_bilinear_sample(arr, dmask, ends.reshape(-1, 2))
         mask = valid.reshape(h, w) & field.mask
@@ -141,8 +151,8 @@ def _carry(field: FlowField, payload: np.ndarray, reference: Reference) -> FlowF
     `reference`. Only valid cells are gathered, so `payload` may hold
     anything on invalid ones.
     """
-    m = field.mask
-    vectors, mask = grid_from_unstructured_data(_far_ends(field)[m], payload[m], field.shape)
+    ends, values = _rows_at(field.mask, _far_ends(field), payload)
+    vectors, mask = grid_from_unstructured_data(ends, values, field.shape)
     return FlowField._trusted(vectors, reference, mask)
 
 

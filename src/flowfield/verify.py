@@ -94,8 +94,11 @@ def random_transform(
     Rotation and scaling centers are uniform inside the field; the
     transform parameter is scaled so the largest displacement of the
     source-reference flow over the grid (attained on the corner hull)
-    equals a uniform draw from (0, max_magnitude].
+    equals a uniform draw from (0, max_magnitude]. A max_magnitude that
+    is negative or not finite raises FlowError.
     """
+    if not 0.0 <= max_magnitude < np.inf:
+        raise FlowError(f"max_magnitude must be finite and >= 0, got {max_magnitude!r}")
     h, w = int(shape[0]), int(shape[1])
     kind = TRANSFORM_KINDS[rng.integers(len(TRANSFORM_KINDS))]
     magnitude = rng.uniform(0.0, max_magnitude)
@@ -140,12 +143,16 @@ def run_trials(
     max_magnitude: float = 50.0,
     seed: int = 0,
 ) -> AccuracyReport:
-    """Run randomized composition trials for one mode and pool the errors."""
+    """Run randomized composition trials for one mode and pool the errors.
+
+    Raises FlowError for a negative seed, and when no trial left a valid
+    vector to compare: an empty comparison has no accuracy to report.
+    """
     mode = ComposeMode(mode)
     if trials < 1:
         raise FlowError(f"trials must be >= 1, got {trials}")
-    if not 0.0 <= max_magnitude < np.inf:
-        raise FlowError(f"max_magnitude must be finite and >= 0, got {max_magnitude!r}")
+    if seed < 0:
+        raise FlowError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     n_total = 0
@@ -185,15 +192,18 @@ def run_trials(
             n_rel_0005 += int(np.count_nonzero(rel < 0.005))
             n_rel_00005 += int(np.count_nonzero(rel < 0.0005))
 
+    if n_total == 0:
+        raise FlowError("no composed vector was valid, so there is nothing to compare")
+
     def frac(num: int, den: int) -> float:
         return num / den if den else 1.0
 
     return AccuracyReport(
         n_vectors=n_total,
-        mean_abs_err=err_sum / n_total if n_total else 0.0,
+        mean_abs_err=err_sum / n_total,
         max_abs_err=err_max,
-        frac_abs_below_005=frac(n_abs_005, n_total),
-        frac_abs_below_0005=frac(n_abs_0005, n_total),
+        frac_abs_below_005=n_abs_005 / n_total,
+        frac_abs_below_0005=n_abs_0005 / n_total,
         frac_rel_below_0005=frac(n_rel_0005, n_rel),
         frac_rel_below_00005=frac(n_rel_00005, n_rel),
     )

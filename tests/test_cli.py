@@ -264,6 +264,23 @@ class TestVerifyCompose:
         assert captured.out == ""
         assert captured.err.startswith("error: max_magnitude must be finite and >= 0")
 
+    def test_negative_seed_is_data_error(self, capsys):
+        code = main(["verify-compose", "--trials", "1", "--size", "10x12", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
+    def test_empty_comparison_is_data_error(self, capsys):
+        # Displacements near the float64 limit leave no valid composed cell.
+        code = main(["verify-compose", "--trials", "1", "--size", "10x12",
+                     "--max-mag", "1e308", "--mode", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "nothing to compare" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_prints_block_and_record(self, capsys):
         code = main(["verify-compose", "--trials", "3", "--size", "30x40",
                      "--max-mag", "5", "--seed", "9", "--mode", "3"])

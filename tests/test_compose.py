@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import flowfield.ops
 from flowfield import (
     AffineTransform,
     ComposeMode,
@@ -16,9 +17,11 @@ from flowfield import (
     combine,
     from_matrix,
     from_transforms,
+    invert,
+    switch_reference,
     zeros,
 )
-from flowfield.compose import _abc_times
+from flowfield.compose import _SPANS, _abc_times, _anchor_time
 from flowfield.verify import trial_matrices
 
 from conftest import assert_fresh_output, mean_epe, max_epe
@@ -231,3 +234,95 @@ class TestCombineOutputInvariants:
                     assert "overflow" in str(err)
                     continue
                 assert_fresh_output(out, first, second)
+
+
+def combine_via_invert(f_first, f_second, mode, out_ref):
+    """`combine` with every B-to-A warp taken from `invert(f_ab)` when f_ab runs A to B.
+
+    Kept as the accuracy oracle of the A-anchored branches, which now sample
+    the B-anchored operand at f_ab's far ends instead of warping it with the
+    inverted flow.
+    """
+    mode, out_ref = ComposeMode(mode), Reference.parse(out_ref)
+    first_span, second_span, unknown_span = _SPANS[mode]
+    a, b, c = _abc_times(mode, out_ref)
+    if set(first_span) == {a, b}:
+        (f_ab, ab_span), (f_bc, bc_span) = (f_first, first_span), (f_second, second_span)
+    else:
+        (f_ab, ab_span), (f_bc, bc_span) = (f_second, second_span), (f_first, first_span)
+    sign_ab = 1.0 if ab_span[0] == a else -1.0
+    sign_bc = 1.0 if bc_span[0] == b else -1.0
+    if unknown_span[0] == c:
+        sign_ab, sign_bc = -sign_ab, -sign_bc
+    if _anchor_time(f_bc, bc_span) == c:
+        f_bc = switch_reference(f_bc)
+    warp = invert(f_ab) if ab_span[0] == a else f_ab
+    bc_vectors, bc_mask = f_bc.masked_vectors(), f_bc.mask
+    anchored_at_a = _anchor_time(f_ab, ab_span) == a
+    if anchored_at_a:
+        bc_vectors, bc_mask = apply(warp, bc_vectors, data_mask=bc_mask)
+    vectors = sign_ab * f_ab.masked_vectors() + sign_bc * bc_vectors
+    mask = f_ab.mask & bc_mask
+    if not anchored_at_a:
+        vectors, mask = apply(warp, vectors, data_mask=mask)
+    return FlowField(np.where(mask[..., None], vectors, 0.0), out_ref, mask)
+
+
+# Splats (`grid_from_unstructured_data` calls) per branch: 24 over all 24.
+SPLATS = {
+    (1, "s", "s", "s"): 1, (1, "s", "s", "t"): 1, (1, "s", "t", "s"): 2, (1, "s", "t", "t"): 0,
+    (1, "t", "s", "s"): 0, (1, "t", "s", "t"): 2, (1, "t", "t", "s"): 1, (1, "t", "t", "t"): 1,
+    (2, "s", "s", "s"): 1, (2, "s", "s", "t"): 1, (2, "s", "t", "s"): 2, (2, "s", "t", "t"): 0,
+    (2, "t", "s", "s"): 0, (2, "t", "s", "t"): 2, (2, "t", "t", "s"): 1, (2, "t", "t", "t"): 1,
+    (3, "s", "s", "s"): 0, (3, "s", "s", "t"): 2, (3, "s", "t", "s"): 1, (3, "s", "t", "t"): 1,
+    (3, "t", "s", "s"): 1, (3, "t", "s", "t"): 1, (3, "t", "t", "s"): 2, (3, "t", "t", "t"): 0,
+}
+
+# The A-anchored branches where f_ab runs A to B: a sample at its far ends
+# replaced `invert(f_ab)` and a splat of the operand.
+SAMPLED_NOT_INVERTED = {
+    (1, "s", "s", "s"), (1, "s", "s", "t"), (1, "s", "t", "t"), (1, "t", "s", "s"),
+    (3, "s", "s", "s"), (3, "s", "t", "s"),
+}
+
+
+def _branch_inputs(branch, seed, size=(60, 80), max_magnitude=12.0):
+    mode, ref1, ref2, out_ref = branch
+    rng = np.random.default_rng(seed)
+    matrices, unknown = known_flows(mode, *trial_matrices(rng, size, max_magnitude))
+    first = from_matrix(matrices[0], size, ref1)
+    second = from_matrix(matrices[1], size, ref2)
+    return first, second, from_matrix(unknown, size, out_ref)
+
+
+class TestWarpAtFarEnds:
+    def test_pinned_splat_count(self, monkeypatch):
+        splat = flowfield.ops.grid_from_unstructured_data
+        counts = []
+
+        def counting(*args, **kwargs):
+            counts[-1] += 1
+            return splat(*args, **kwargs)
+
+        monkeypatch.setattr(flowfield.ops, "grid_from_unstructured_data", counting)
+        seen = {}
+        for branch in BRANCHES:
+            first, second, _ = _branch_inputs(branch, seed=0, size=(20, 30), max_magnitude=4.0)
+            counts.append(0)
+            combine(first, second, branch[0], branch[3])
+            seen[branch] = counts[-1]
+        assert seen == SPLATS
+        assert sum(seen.values()) == 24
+
+    @pytest.mark.parametrize("branch", BRANCHES, ids=lambda b: "{}-{}{}-{}".format(*b))
+    def test_no_worse_than_inverting(self, branch):
+        mode, _, _, out_ref = branch
+        for seed in range(3):
+            first, second, truth = _branch_inputs(branch, seed)
+            got = combine(first, second, mode, out_ref)
+            old = combine_via_invert(first, second, mode, out_ref)
+            if branch in SAMPLED_NOT_INVERTED:
+                assert mean_epe(got, truth, got.mask) <= mean_epe(old, truth, old.mask)
+            else:
+                assert np.array_equal(got.vectors, old.vectors)
+                assert np.array_equal(got.mask, old.mask)

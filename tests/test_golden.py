@@ -11,17 +11,17 @@ import hashlib
 from flowfield.cli import main
 
 # The `mode=` record lines of `flowfield verify-compose --seed 0 --trials 10`
-# (their sha256, newline-terminated, is 71428b67...65ae).
+# (their sha256, newline-terminated, is 52bbb357...c12e).
 VERIFY_COMPOSE_RECORDS = [
-    "mode=1 n_vectors=305000 mean_abs_err=0.0128108428 max_abs_err=0.371149872"
-    " frac_abs_below_005=0.892026 frac_abs_below_0005=0.716433"
-    " frac_rel_below_0005=0.906764 frac_rel_below_00005=0.668298",
+    "mode=1 n_vectors=302091 mean_abs_err=0.00228867373 max_abs_err=0.313479492"
+    " frac_abs_below_005=0.997597 frac_abs_below_0005=0.829525"
+    " frac_rel_below_0005=0.995256 frac_rel_below_00005=0.858271",
     "mode=2 n_vectors=306449 mean_abs_err=0.0026527343 max_abs_err=0.283481369"
     " frac_abs_below_005=0.994926 frac_abs_below_0005=0.868007"
     " frac_rel_below_0005=0.996574 frac_rel_below_00005=0.916231",
-    "mode=3 n_vectors=313074 mean_abs_err=0.00439331613 max_abs_err=0.277697041"
-    " frac_abs_below_005=0.994468 frac_abs_below_0005=0.838243"
-    " frac_rel_below_0005=0.996228 frac_rel_below_00005=0.888985",
+    "mode=3 n_vectors=311914 mean_abs_err=0.0011969306 max_abs_err=0.277697041"
+    " frac_abs_below_005=0.995371 frac_abs_below_0005=0.960300"
+    " frac_rel_below_0005=0.998525 frac_rel_below_00005=0.983685",
 ]
 
 # sha256 of the .flo files `flowfield demo-synthetic` writes.

@@ -130,6 +130,62 @@ class TestMaskedBilinearSample:
         assert valid.all()
 
 
+def masked_sample_two_calls(data, mask, points):
+    """`masked_bilinear_sample` as two `bilinear_sample` calls, data then mask.
+
+    Kept as the bit-for-bit oracle of the fused version, which computes the
+    corner indices and weights once and blends both over them.
+    """
+    arr = np.asarray(data, dtype=np.float64)
+    valid_cells = np.asarray(mask).astype(bool)
+    all_valid = bool(valid_cells.all())
+    if all_valid:
+        clean = arr
+    else:
+        clean = np.where(valid_cells if arr.ndim == 2 else valid_cells[..., None], arr, 0.0)
+    values, in_bounds = bilinear_sample(clean, points)
+    if all_valid:
+        valid = in_bounds
+    else:
+        weight, _ = bilinear_sample(valid_cells.astype(np.float64), points)
+        valid = in_bounds & (weight >= 0.5)
+        scale = np.ones_like(weight)
+        np.divide(1.0, weight, out=scale, where=valid)
+        values = values * (scale[:, None] if values.ndim == 2 else scale)
+    values[~valid] = 0.0
+    return values, valid
+
+
+class TestMaskedSampleFused:
+    @given(
+        seed=st.integers(0, 10_000),
+        grid=st.sampled_from(["1x1", "1xW", "HxW"]),
+        mask_kind=st.sampled_from(["partial", "full", "empty"]),
+        channels=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_two_call_oracle(self, seed, grid, mask_kind, channels):
+        rng = np.random.default_rng(seed)
+        h = 1 if grid != "HxW" else int(rng.integers(2, 9))
+        w = 1 if grid == "1x1" else int(rng.integers(2, 9))
+        shape = (h, w) if channels is None else (h, w, channels)
+        data = rng.normal(size=shape)
+        mask = {
+            "partial": rng.uniform(size=(h, w)) < 0.6,
+            "full": np.ones((h, w), bool),
+            "empty": np.zeros((h, w), bool),
+        }[mask_kind]
+        data[~mask] = np.nan  # invalid cells may hold anything
+        # Up to two cells beyond every edge, so some points are out of bounds.
+        points = rng.uniform((-2.0, -2.0), (w + 1.0, h + 1.0), size=(40, 2))
+        points[:5] = rng.integers((0, 0), (w, h), size=(5, 2))  # on the lattice
+        got, got_valid = masked_bilinear_sample(data, mask, points)
+        want, want_valid = masked_sample_two_calls(data, mask, points)
+        assert got.shape == want.shape
+        assert np.array_equal(got_valid, want_valid)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSplat:
     def test_single_sample_on_lattice_point(self):
         grid, mask = grid_from_unstructured_data([[2.0, 3.0]], [5.0], (5, 6))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flowfield import AccuracyReport, FlowError, run_trials
+from flowfield import AccuracyReport, FlowError, FlowField, run_trials
 from flowfield.verify import random_transform, trial_matrices
 
 
@@ -49,6 +49,11 @@ class TestRandomTransform:
             assert -1e-6 <= fixed[0] <= 29 + 1e-6
             assert -1e-6 <= fixed[1] <= 29 + 1e-6
 
+    @pytest.mark.parametrize("max_magnitude", [np.nan, np.inf, -np.inf, -5.0])
+    def test_invalid_max_magnitude_rejected(self, rng, max_magnitude):
+        with pytest.raises(FlowError, match="max_magnitude"):
+            random_transform(rng, (10, 12), max_magnitude)
+
     def test_composition_matrix_order(self, rng):
         m12, m23, m13 = trial_matrices(rng, (20, 20), 3.0)
         assert np.allclose(m13.matrix, m23.matrix @ m12.matrix)
@@ -78,6 +83,23 @@ class TestRunTrials:
     def test_invalid_max_magnitude_rejected(self, max_magnitude):
         with pytest.raises(FlowError, match="max_magnitude"):
             run_trials(3, 1, (10, 12), max_magnitude)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(FlowError, match="seed must be >= 0"):
+            run_trials(3, 1, (10, 12), seed=-1)
+
+    def test_empty_comparison_rejected(self, monkeypatch):
+        # A run whose composed flows are all invalid compared nothing, so it
+        # must not report full accuracy.
+        import flowfield.verify as verify
+
+        def nothing_valid(f_first, f_second, mode, ref_out):
+            shape = f_first.shape
+            return FlowField(np.zeros((*shape, 2)), ref_out, np.zeros(shape, bool))
+
+        monkeypatch.setattr(verify, "combine", nothing_valid)
+        with pytest.raises(FlowError, match="nothing to compare"):
+            verify.run_trials(3, 2, (10, 12), 5.0)
 
     def test_zero_max_magnitude_is_exact(self):
         report = run_trials(3, 2, (10, 12), 0.0)
