@@ -13,7 +13,6 @@ from .core import (
     AffineTransform,
     FlowError,
     FlowField,
-    Padding,
     Reference,
     from_matrix,
     from_transforms,
@@ -47,7 +46,6 @@ __all__ = [
     "ComposeMode",
     "FlowError",
     "FlowField",
-    "Padding",
     "Reference",
     "apply",
     "bilinear_sample",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .compose import combine as combine_flows
-from .core import _STEP_ARITY, FlowError, Padding, from_transforms
+from .core import _STEP_ARITY, FlowError, _padding, from_transforms
 from .core import pad as pad_flow
 from .core import resize as resize_flow
 from .core import unpad as unpad_flow
@@ -67,10 +67,9 @@ def parse_size(text: str) -> tuple[int, int]:
     return h, w
 
 
-def parse_padding(text: str) -> Padding:
+def parse_padding(text: str) -> tuple[int, int, int, int]:
     try:
-        values = [int(v) for v in text.split(",")]
-        return Padding.parse(values)
+        return _padding([int(v) for v in text.split(",")])
     except (ValueError, FlowError):
         raise click.UsageError(f"padding must be T,B,L,R non-negative integers, got {text!r}")
 
@@ -201,8 +200,7 @@ def valid_cmd(field, which, output):
 @reads_flow
 def padding_cmd(field):
     """Print the minimal padding (top bottom left right) avoiding invalid areas."""
-    p = get_padding(field)
-    click.echo(f"{p.top} {p.bottom} {p.left} {p.right}")
+    click.echo(" ".join(map(str, get_padding(field))))
 
 
 @cli.command("track")
@@ -276,9 +274,8 @@ def verify_compose_cmd(trials, size, max_mag, seed, mode):
 @click.option("-o", "--output", "out_dir", required=True, type=click.Path(file_okay=False))
 def demo_synthetic_cmd(out_dir):
     """Run the synthetic ground-truth workflow, writing flows and images."""
-    flows = run_synthetic_demo(out_dir)
-    p = flows.pad1
-    click.echo(f"wrote f12, f13, f23 to {out_dir} (padding {p.top} {p.bottom} {p.left} {p.right})")
+    padding = " ".join(map(str, run_synthetic_demo(out_dir).pad1))
+    click.echo(f"wrote f12, f13, f23 to {out_dir} (padding {padding})")
 
 
 def main(argv=None) -> int:

@@ -8,14 +8,14 @@ new instances.
 
 Scattered points are plain float64 (N, 2) arrays of (x, y) pixel
 coordinates; every function that takes points checks them through
-`_points` (finite, shape (N, 2)).
+`_points` (finite, shape (N, 2)). Padding is a plain (top, bottom, left,
+right) sequence of non-negative integers, checked by `_padding`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "AffineTransform",
     "FlowError",
     "FlowField",
-    "Padding",
     "Reference",
     "from_matrix",
     "from_transforms",
@@ -79,49 +78,29 @@ class Reference(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Padding:
-    """Per-edge padding amounts in pixels, all non-negative."""
-
-    top: int
-    bottom: int
-    left: int
-    right: int
-
-    def __post_init__(self):
-        for name in ("top", "bottom", "left", "right"):
-            value = getattr(self, name)
-            try:
-                whole = int(value) == value
-            except (TypeError, ValueError, OverflowError):
-                whole = False
-            if not whole or value < 0:
-                raise FlowError(f"padding {name} must be a non-negative integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-
-    @classmethod
-    def parse(cls, value) -> "Padding":
-        """Accept a Padding, or a (top, bottom, left, right) sequence."""
-        if isinstance(value, Padding):
-            return value
-        values = tuple(value)
-        if len(values) != 4:
-            raise FlowError(f"padding needs 4 values (top, bottom, left, right), got {len(values)}")
-        return cls(*values)
-
-    def __add__(self, other: "Padding") -> "Padding":
-        other = Padding.parse(other)
-        return Padding(
-            self.top + other.top,
-            self.bottom + other.bottom,
-            self.left + other.left,
-            self.right + other.right,
-        )
-
-
 # Named transform steps (each an AffineTransform constructor) and their arity;
 # the CLI's spec grammar reads it, and `verify` draws kinds in its order.
 _STEP_ARITY = {"translation": 2, "rotation": 3, "scaling": 3}
+
+
+def _padding(value) -> tuple[int, int, int, int]:
+    """Padding as a (top, bottom, left, right) tuple of Python ints.
+
+    This is the one check on padding arriving from outside the program:
+    any 4-sequence of integer-valued, non-negative numbers is accepted;
+    anything else raises FlowError.
+    """
+    values = tuple(value) if np.iterable(value) else (value,)
+    if len(values) != 4:
+        raise FlowError(f"padding needs 4 values (top, bottom, left, right), got {len(values)}")
+    for name, v in zip(("top", "bottom", "left", "right"), values):
+        try:
+            whole = int(v) == v
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole or v < 0:
+            raise FlowError(f"padding {name} must be a non-negative integer, got {v!r}")
+    return tuple(int(v) for v in values)
 
 
 def _points(points) -> np.ndarray:
@@ -274,7 +253,8 @@ class FlowField:
             if m.shape != vec.shape[:2]:
                 raise FlowError(f"mask shape {m.shape} does not match vectors {vec.shape[:2]}")
             m = m.astype(bool)  # always a copy: caller edits do not leak in
-        if not np.all(np.isfinite(vec[m])):
+        # A scan of the whole array is cheap; gather the valid cells only when it fails.
+        if not np.isfinite(vec).all() and not np.isfinite(vec[m]).all():
             raise FlowError("non-finite vector components inside the valid mask")
         vec = vec.copy()
         vec.flags.writeable = False
@@ -339,21 +319,18 @@ def _check_cells(h: int, w: int) -> None:
         raise FlowError(f"a {h}x{w} grid exceeds the budget of {MAX_CELLS} cells")
 
 
-def grid_coordinates(shape: tuple[int, int], padding: Padding | None = None) -> np.ndarray:
+def grid_coordinates(shape: tuple[int, int], padding=None) -> np.ndarray:
     """(H, W, 2) array of grid point coordinates, channels (x, y).
 
-    With padding, coordinates extend beyond the original grid: x runs from
-    -left to W-1+right and y from -top to H-1+bottom, so the returned array
-    has the padded shape while staying in the unpadded coordinate frame.
+    With padding (top, bottom, left, right), coordinates extend beyond the
+    original grid: x runs from -left to W-1+right and y from -top to
+    H-1+bottom, so the returned array has the padded shape while staying in
+    the unpadded coordinate frame.
     """
     h, w = int(shape[0]), int(shape[1])
     if h < 1 or w < 1:
         raise FlowError(f"grid shape must be at least 1x1, got {shape}")
-    top = left = 0
-    bottom = right = 0
-    if padding is not None:
-        padding = Padding.parse(padding)
-        top, bottom, left, right = padding.top, padding.bottom, padding.left, padding.right
+    top, bottom, left, right = (0, 0, 0, 0) if padding is None else _padding(padding)
     _check_cells(h + top + bottom, w + left + right)
     xs = np.arange(-left, w + right, dtype=np.float64)
     ys = np.arange(-top, h + bottom, dtype=np.float64)
@@ -374,7 +351,7 @@ def from_matrix(
     matrix: AffineTransform,
     shape: tuple[int, int],
     reference: Reference | str,
-    padding: Padding | None = None,
+    padding=None,
 ) -> FlowField:
     """Flow field realizing an affine transform on a (H, W) grid.
 
@@ -400,7 +377,7 @@ def from_transforms(
     transforms,
     shape: tuple[int, int],
     reference: Reference | str,
-    padding: Padding | None = None,
+    padding=None,
 ) -> FlowField:
     """Flow field for a sequence of named transforms, first applied first.
 
@@ -444,24 +421,24 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     return FlowField._trusted(vectors, field.reference, valid.reshape(new_h, new_w))
 
 
-def pad(field: FlowField, padding: Padding) -> FlowField:
-    """Extend the grid with zero vectors and a false mask in the border."""
-    p = Padding.parse(padding)
+def pad(field: FlowField, padding) -> FlowField:
+    """Extend the grid by (top, bottom, left, right) cells of zero vectors and a false mask."""
+    top, bottom, left, right = _padding(padding)
     h, w = field.shape
-    _check_cells(h + p.top + p.bottom, w + p.left + p.right)
-    vectors = np.zeros((h + p.top + p.bottom, w + p.left + p.right, 2))
+    _check_cells(h + top + bottom, w + left + right)
+    vectors = np.zeros((h + top + bottom, w + left + right, 2))
     mask = np.zeros(vectors.shape[:2], dtype=bool)
-    vectors[p.top : p.top + h, p.left : p.left + w] = field.vectors
-    mask[p.top : p.top + h, p.left : p.left + w] = field.mask
+    vectors[top : top + h, left : left + w] = field.vectors
+    mask[top : top + h, left : left + w] = field.mask
     return FlowField(vectors, field.reference, mask)
 
 
-def unpad(field: FlowField, padding: Padding) -> FlowField:
-    """Crop a previously padded flow; exact inverse of `pad`."""
-    p = Padding.parse(padding)
+def unpad(field: FlowField, padding) -> FlowField:
+    """Crop (top, bottom, left, right) cells off a flow; exact inverse of `pad`."""
+    top, bottom, left, right = p = _padding(padding)
     h, w = field.shape
-    if p.top + p.bottom + 1 > h or p.left + p.right + 1 > w:
+    if top + bottom + 1 > h or left + right + 1 > w:
         raise FlowError(f"cannot unpad {p} from a {h}x{w} field")
-    vectors = field.vectors[p.top : h - p.bottom, p.left : w - p.right]
-    mask = field.mask[p.top : h - p.bottom, p.left : w - p.right]
+    vectors = field.vectors[top : h - bottom, left : w - right]
+    mask = field.mask[top : h - bottom, left : w - right]
     return FlowField(vectors, field.reference, mask)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .compose import combine
-from .core import FlowField, Padding, Reference, from_transforms, grid_coordinates, pad, unpad
+from .core import FlowField, Reference, from_transforms, grid_coordinates, pad, unpad
 from .fileio import save_flow, write_image, write_mask
 from .ops import get_padding, map_vectors
 from .viz import render_colorwheel
@@ -40,13 +40,12 @@ def _cube(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SyntheticDemo:
-    """Flows produced by the workflow plus the paddings it derived."""
+    """Flows produced by the workflow plus the padding `f13` needs (`pad1`)."""
 
     f12: FlowField
     f13: FlowField
     f23: FlowField
-    pad1: Padding
-    pad2: Padding
+    pad1: tuple[int, int, int, int]
 
 
 def synthetic_flows() -> SyntheticDemo:
@@ -65,17 +64,13 @@ def synthetic_flows() -> SyntheticDemo:
     pad1 = get_padding(f13)
     flow_trans = from_transforms([TRANS_2], SIZE, "s", padding=pad1)
     pad2 = get_padding(flow_trans)
-    pad_total = pad1 + pad2
+    pad_total = tuple(a + b for a, b in zip(pad1, pad2))
     flow_lens = map_vectors(from_transforms([LENS_2], SIZE, "s", padding=pad_total), _cube)
     f12 = unpad(combine(pad(flow_trans, pad2), flow_lens, 3), pad2)
 
     f23 = unpad(combine(f12, pad(f13, pad1), 2, Reference.TARGET), pad1)
 
-    return SyntheticDemo(f12=f12, f13=f13, f23=f23, pad1=pad1, pad2=pad2)
-
-
-def _demo_fields(demo: SyntheticDemo):
-    return ("f12", demo.f12), ("f13", demo.f13), ("f23", demo.f23)
+    return SyntheticDemo(f12=f12, f13=f13, f23=f23, pad1=pad1)
 
 
 def analytic_flow_2_to_3() -> FlowField:
@@ -107,7 +102,8 @@ def run_synthetic_demo(out_dir) -> SyntheticDemo:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     flows = synthetic_flows()
-    for name, field in _demo_fields(flows):
+    for name in ("f12", "f13", "f23"):
+        field = getattr(flows, name)
         save_flow(out / f"{name}.flo", field)
         write_image(out / f"{name}.ppm", render_colorwheel(field))
         write_mask(out / f"{name}_mask.pgm", field.mask)

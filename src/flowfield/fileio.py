@@ -94,10 +94,14 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
         payload = fh.read()
     if len(payload) < h * w * 2 * 4:
         raise FlowError(f"{path}: truncated .flo payload")
-    vectors = np.frombuffer(payload, "<f4", h * w * 2).reshape(h, w, 2).astype(np.float64)
-    mask = ~np.all(vectors == INVALID_SENTINEL, axis=2)
-    vectors = np.where(mask[..., None], vectors, 0.0)
-    return FlowField(vectors, Reference.parse(reference), mask)
+    data = np.frombuffer(payload, "<f4", h * w * 2).reshape(h, w, 2)
+    # The sentinel is exact in float32, so the payload is compared as read.
+    mask = (data[..., 0] != INVALID_SENTINEL) | (data[..., 1] != INVALID_SENTINEL)
+    vectors = np.zeros((h, w, 2))  # float64, zero on invalid cells
+    np.copyto(vectors, data, where=mask[..., None])
+    if not np.isfinite(vectors).all():
+        raise FlowError(f"non-finite vector components in a valid cell of {path}")
+    return FlowField._trusted(vectors, Reference.parse(reference), mask)
 
 
 def write_image(path, image) -> None:

@@ -23,7 +23,6 @@ from .core import (
     AffineTransform,
     FlowError,
     FlowField,
-    Padding,
     Reference,
     _points,
     grid_coordinates,
@@ -205,28 +204,28 @@ def valid_source(field: FlowField) -> np.ndarray:
     return _lands_in_grid(field if field.reference is Reference.SOURCE else invert(field))
 
 
-def get_padding(field: FlowField) -> Padding:
+def get_padding(field: FlowField) -> tuple[int, int, int, int]:
     """Minimal padding so the padded flow covers the original region.
 
-    Looks at the extremes of the far ends g + F (source) or g - F (target)
-    over all valid cells and rounds the overhang beyond each grid edge up
-    to whole pixels. Extremes within `OUT_OF_BOUNDS_TOL`
-    of an integer do not round up, so an endpoint that the in-bounds test
-    counts as inside needs no padding. All-invalid flows need no padding.
+    Returns (top, bottom, left, right) as Python ints. Looks at the extremes
+    of the far ends g + F (source) or g - F (target) over all valid cells
+    and rounds the overhang beyond each grid edge up to whole pixels.
+    Extremes within `OUT_OF_BOUNDS_TOL` of an integer do not round up, so an
+    endpoint that the in-bounds test counts as inside needs no padding.
+    All-invalid flows need no padding.
     """
-    if not field.mask.any():
-        return Padding(0, 0, 0, 0)
     h, w = field.shape
-    x, y = _far_ends(field)[field.mask].T
+    # Invalid cells keep their own, in-grid position, so they never add overhang.
+    x, y = np.moveaxis(_far_ends(field), 2, 0)
 
     def overhang(amount: float) -> int:
-        return max(0, math.ceil(amount - OUT_OF_BOUNDS_TOL))
+        return max(0, math.ceil(float(amount) - OUT_OF_BOUNDS_TOL))
 
-    return Padding(
-        top=overhang(-float(y.min())),
-        bottom=overhang(float(y.max()) - (h - 1)),
-        left=overhang(-float(x.min())),
-        right=overhang(float(x.max()) - (w - 1)),
+    return (
+        overhang(-y.min()),
+        overhang(y.max() - (h - 1)),
+        overhang(-x.min()),
+        overhang(x.max() - (w - 1)),
     )
 
 

@@ -112,28 +112,18 @@ def _draw_line(image: np.ndarray, x0: int, y0: int, x1: int, y1: int, color) -> 
             y += sy
 
 
-def render_arrows(
-    field: FlowField,
-    background: np.ndarray | None = None,
-    stride: int = 1,
-) -> np.ndarray:
-    """Draw flow arrows on a stride-subsampled lattice.
+def render_arrows(field: FlowField, stride: int = 1) -> np.ndarray:
+    """Draw flow arrows on a stride-subsampled lattice over a white image.
 
     Source reference draws from each lattice point g to g + F(g); target
     reference draws from g - F(g) to g. Lattice points with a false mask
     bit are skipped; each drawn arrow gets a dot marker at its lattice
-    point. The background defaults to white and must match the flow dims.
+    point.
     """
     if stride < 1:
         raise FlowError(f"stride must be >= 1, got {stride}")
     h, w = field.shape
-    if background is None:
-        image = np.full((h, w, 3), 255, dtype=np.uint8)
-    else:
-        image = np.asarray(background)
-        if image.shape != (h, w, 3):
-            raise FlowError(f"background shape {image.shape} does not match flow dims {(h, w)}")
-        image = image.astype(np.uint8).copy()
+    image = np.full((h, w, 3), 255, dtype=np.uint8)
 
     grid, ends = grid_coordinates((h, w)), _far_ends(field)
     start, end = (grid, ends) if field.reference is Reference.SOURCE else (ends, grid)

@@ -58,6 +58,18 @@ class TestMake:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["make", "pad", "unpad"])
+    @pytest.mark.parametrize("padding", ["-1,0,0,0", "1,2,3", "1.5,0,0,0"])
+    def test_bad_padding_is_usage_error(self, tmp_path, capsys, command, padding):
+        save_flow(tmp_path / "in.flo", zeros((4, 4)))
+        source = (["--transforms", "translation:1,1", "--size", "4x4", "--ref", "s"]
+                  if command == "make" else ["-f", str(tmp_path / "in.flo")])
+        out = tmp_path / "out.flo"
+        code = main([command, *source, "--padding", padding, "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: padding")
+        assert not out.exists()
+
     def test_bad_scale_is_usage_error(self, tmp_path):
         flo = tmp_path / "f.flo"
         save_flow(flo, zeros((4, 4)))
@@ -359,6 +371,19 @@ class TestExitCodes:
                      str(tmp_path / "out.ppm")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: non-finite")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_flo_invert_is_data_error(self, tmp_path, capsys, bad):
+        flo = tmp_path / "f.flo"
+        save_flow(flo, zeros((4, 5)))
+        blob = bytearray(flo.read_bytes())
+        blob[20:24] = np.float32(bad).tobytes()  # y component of cell (0, 1)
+        flo.write_bytes(bytes(blob))
+        code = main(["invert", "-f", str(flo), "-o", str(tmp_path / "out.flo")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: non-finite") and "Traceback" not in err
+        assert not (tmp_path / "out.flo").exists()
 
     def test_nan_max_magnitude_is_data_error(self, tmp_path):
         flo = tmp_path / "f.flo"

@@ -11,11 +11,11 @@ from flowfield import (
     AffineTransform,
     FlowError,
     FlowField,
-    Padding,
     Reference,
     bilinear_sample,
     from_matrix,
     from_transforms,
+    grid_coordinates,
     grid_from_unstructured_data,
     pad,
     resize,
@@ -94,23 +94,31 @@ class TestFlowField:
             FlowField(np.zeros(shape), "s")
 
 
+# Every function that takes padding, called on a 4x5 grid.
+PADDING_CALLERS = {
+    "pad": lambda p: pad(zeros((4, 5)), p),
+    "unpad": lambda p: unpad(zeros((4, 5)), p),
+    "grid_coordinates": lambda p: grid_coordinates((4, 5), p),
+    "from_matrix": lambda p: from_matrix(AffineTransform.identity(), (4, 5), "s", p),
+    "from_transforms": lambda p: from_transforms([], (4, 5), "t", padding=p),
+}
+
+
 class TestPadding:
-    def test_rejects_negative(self):
-        with pytest.raises(FlowError):
-            Padding(1, -1, 0, 0)
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, -1, 0, 0), (math.nan, 0, 0, 0), (math.inf, 0, 0, 0), (1.5, 0, 0, 0), (1, 2, 3), 2],
+        ids=["negative", "nan", "inf", "fraction", "three-values", "scalar"],
+    )
+    @pytest.mark.parametrize("caller", PADDING_CALLERS)
+    def test_every_entry_point_rejects(self, caller, bad):
+        with pytest.raises(FlowError, match="padding"):
+            PADDING_CALLERS[caller](bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(FlowError):
-            Padding(bad, 0, 0, 0)
-
-    def test_parse_sequence(self):
-        assert Padding.parse([1, 2, 3, 4]) == Padding(1, 2, 3, 4)
-        with pytest.raises(FlowError):
-            Padding.parse([1, 2, 3])
-
-    def test_add(self):
-        assert Padding(1, 2, 3, 4) + Padding(4, 3, 2, 1) == Padding(5, 5, 5, 5)
+    @pytest.mark.parametrize("caller", PADDING_CALLERS)
+    def test_integer_valued_floats_accepted(self, caller):
+        as_floats = PADDING_CALLERS[caller]((1.0, 0.0, 2.0, np.int64(0)))
+        assert as_floats.shape == PADDING_CALLERS[caller]((1, 0, 2, 0)).shape
 
 
 # Every function that takes points, called on a 2x3 grid.
@@ -253,7 +261,7 @@ class TestFromTransforms:
         from_transforms([("scaling", 0, 0, 0.0)], (4, 5), "s")  # source is fine
 
     def test_padding_evaluates_transform_on_enlarged_grid(self):
-        p = Padding(1, 2, 3, 4)
+        p = (1, 2, 3, 4)
         f = from_transforms([("scaling", 0, 0, 2)], (5, 6), "s", padding=p)
         assert f.shape == (8, 13)
         assert f.mask.all()
@@ -333,7 +341,7 @@ class TestCellBudget:
 class TestPadUnpad:
     def test_pad_extends_with_invalid_zeros(self):
         f = zeros((3, 4))
-        out = pad(f, Padding(1, 1, 2, 2))
+        out = pad(f, (1, 1, 2, 2))
         assert out.shape == (5, 8)
         assert out.mask[1:4, 2:6].all()
         assert not out.mask[0].any() and not out.mask[-1].any()
@@ -345,7 +353,7 @@ class TestPadUnpad:
         vec = rng.normal(size=(3, 4, 2))
         mask = rng.uniform(size=(3, 4)) > 0.4
         f = FlowField(vec, "t", mask)
-        p = Padding(2, 0, 1, 3)
+        p = (2, 0, 1, 3)
         back = unpad(pad(f, p), p)
         assert np.array_equal(back.vectors, f.vectors)
         assert np.array_equal(back.mask, f.mask)
@@ -354,6 +362,6 @@ class TestPadUnpad:
     def test_unpad_larger_than_field_rejected(self):
         f = zeros((3, 4))
         with pytest.raises(FlowError):
-            unpad(f, Padding(2, 2, 0, 0))
+            unpad(f, (2, 2, 0, 0))
         with pytest.raises(FlowError):
-            unpad(f, Padding(0, 0, 2, 2))
+            unpad(f, (0, 0, 2, 2))

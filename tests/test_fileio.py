@@ -111,6 +111,16 @@ class TestFloFormat:
         assert list(back.mask[0]) == [True, False]
         assert np.array_equal(back.vectors[0, 0], [INVALID_SENTINEL, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_valid_cell_rejected(self, tmp_path, bad):
+        # Only the sentinel pair marks a cell invalid; any other cell must be finite.
+        blob = struct.pack("<fii", FLO_MAGIC, 2, 1)
+        blob += struct.pack("<4f", 1.5, bad, INVALID_SENTINEL, INVALID_SENTINEL)
+        path = tmp_path / "bad.flo"
+        path.write_bytes(blob)
+        with pytest.raises(FlowError, match="non-finite"):
+            load_flow(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.flo"
         path.write_bytes(struct.pack("<fii", 0.0, 1, 1) + b"\0" * 8)

@@ -12,7 +12,6 @@ import pytest
 from flowfield import (
     AffineTransform,
     FlowField,
-    Padding,
     apply,
     combine,
     fit_matrix,
@@ -58,8 +57,8 @@ OPS = {
     "map_vectors": lambda f, tmp: map_vectors(f, lambda v: 2.0 * v),
     "combine": lambda f, tmp: [combine(f, f, m, r) for m in (1, 2, 3) for r in "st"],
     "resize": lambda f, tmp: resize(f, (1.5, 0.7)),
-    "pad": lambda f, tmp: pad(f, Padding(1, 2, 3, 0)),
-    "unpad": lambda f, tmp: unpad(f, Padding(1, 1, 2, 0)),
+    "pad": lambda f, tmp: pad(f, (1, 2, 3, 0)),
+    "unpad": lambda f, tmp: unpad(f, (1, 1, 2, 0)),
     "render_colorwheel": lambda f, tmp: render_colorwheel(f),
     "render_arrows": lambda f, tmp: render_arrows(f, stride=2),
     "save_flow": _saved_bytes,

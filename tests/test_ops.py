@@ -7,7 +7,6 @@ from flowfield import (
     AffineTransform,
     FlowError,
     FlowField,
-    Padding,
     Reference,
     apply,
     fit_matrix,
@@ -331,38 +330,40 @@ class TestValidAreas:
 
 class TestGetPadding:
     def test_zero_flow_needs_none(self):
-        assert get_padding(zeros((5, 5))) == Padding(0, 0, 0, 0)
+        assert get_padding(zeros((5, 5))) == (0, 0, 0, 0)
 
     def test_target_constant_flow(self):
         f = constant_flow((5, 10), 3.0, -2.0, "t")
-        assert get_padding(f) == Padding(top=0, bottom=2, left=3, right=0)
+        p = get_padding(f)
+        assert p == (0, 2, 3, 0)
+        assert type(p) is tuple and all(type(v) is int for v in p)
 
     def test_source_constant_flow(self):
         f = constant_flow((5, 10), 3.0, -2.0, "s")
-        assert get_padding(f) == Padding(top=2, bottom=0, left=0, right=3)
+        assert get_padding(f) == (2, 0, 0, 3)
 
     def test_padded_flow_valid_over_original_region(self, rng):
         from flowfield import pad
 
         for _ in range(20):
             f, _ = random_affine_flow(rng, (25, 35), 7.0)
-            p = get_padding(f)
+            top, _, left, _ = p = get_padding(f)
             padded = pad(f, p)
             if f.reference is Reference.TARGET:
                 ok = valid_target(padded)
             else:
                 ok = valid_source(padded)
-            interior = ok[p.top : p.top + 25, p.left : p.left + 35]
+            interior = ok[top : top + 25, left : left + 35]
             assert interior.all()
 
     def test_padding_is_minimal(self):
         f = constant_flow((5, 10), 3.0, -2.0, "t")
         from flowfield import pad
 
-        p = get_padding(f)
-        smaller = Padding(p.top, p.bottom, p.left - 1, p.right)
-        ok = valid_target(pad(f, smaller))
-        assert not ok[smaller.top : smaller.top + 5, smaller.left : smaller.left + 10].all()
+        top, bottom, left, right = get_padding(f)
+        left -= 1
+        ok = valid_target(pad(f, (top, bottom, left, right)))
+        assert not ok[top : top + 5, left : left + 10].all()
 
 
 class TestFitMatrix:

@@ -7,7 +7,7 @@ import flowfield.fileio
 def test_package_exports_are_pinned():
     assert sorted(flowfield.__all__) == [
         "AccuracyReport", "AffineTransform", "ComposeMode", "FlowError", "FlowField",
-        "Padding", "Reference", "apply", "bilinear_sample", "combine",
+        "Reference", "apply", "bilinear_sample", "combine",
         "fit_matrix", "from_matrix", "from_transforms", "get_padding", "grid_coordinates",
         "grid_from_unstructured_data", "invert", "load_flow", "map_vectors", "pad",
         "read_image", "render_arrows", "render_colorwheel", "resize", "run_trials",
