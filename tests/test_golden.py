@@ -7,7 +7,20 @@ and its size.
 """
 
 import hashlib
+import itertools
 
+import numpy as np
+
+from flowfield import (
+    FlowError,
+    FlowField,
+    apply,
+    combine,
+    invert,
+    switch_reference,
+    valid_source,
+    valid_target,
+)
 from flowfield.cli import main
 
 # The `mode=` record lines of `flowfield verify-compose --seed 0 --trials 10`
@@ -45,3 +58,76 @@ def test_demo_synthetic_flo_bytes(tmp_path, capsys):
         for name in DEMO_FLO_SHA256
     }
     assert digests == DEMO_FLO_SHA256
+
+
+# sha256 over every warp output of `_warp_outputs` below: apply, invert,
+# switch_reference, the valid areas and all 24 combine branches on seeded
+# flows with partial masks and junk under their false bits.
+WARP_SHA256 = "f02536c33e2d2fd8b7c373ee8c97af5051a5a3e652b2aadd79cb3008604dc1e3"
+
+WARP_SHAPES = [(1, 1), (1, 9), (7, 1), (30, 41)]
+WARP_VALID_SHARES = [0.0, 0.8, 1.0]
+JUNK = np.array([np.nan, np.inf, -np.inf, 1e308])
+
+
+def _with_junk(values, mask):
+    """`values` with NaN, ±inf and 1e308 cycling under the false bits of `mask`."""
+    junk = np.resize(JUNK, values.shape)
+    keep = mask if values.ndim == 2 else mask[..., None]
+    return np.where(keep, values, junk)
+
+
+def _warp_outputs():
+    """(label, output) for each warp on each seeded grid and valid share."""
+    rng = np.random.default_rng(1010)
+    for shape, share in itertools.product(WARP_SHAPES, WARP_VALID_SHARES):
+        vectors = [rng.uniform(-2.5, 2.5, size=(*shape, 2)) for _ in range(2)]
+        masks = [rng.uniform(size=shape) < share for _ in range(2)]
+        data = rng.normal(size=(*shape, 3))
+        data_mask = rng.uniform(size=shape) < 0.7
+        label = f"{shape} {share}"
+        flows = {
+            ref: [FlowField(_with_junk(v, m), ref, m) for v, m in zip(vectors, masks)]
+            for ref in "st"
+        }
+        for ref in "st":
+            field = flows[ref][0]
+            yield f"{label} apply {ref} 3d", apply(field, data)
+            yield f"{label} apply {ref} 2d", apply(field, data[..., 0])
+            yield f"{label} apply {ref} 3d masked", apply(
+                field, _with_junk(data, data_mask), data_mask
+            )
+            yield f"{label} apply {ref} 2d masked", apply(
+                field, _with_junk(data[..., 1], data_mask), data_mask
+            )
+            yield f"{label} invert {ref}", invert(field)
+            yield f"{label} switch_reference {ref}", switch_reference(field)
+            yield f"{label} valid_source {ref}", valid_source(field)
+            yield f"{label} valid_target {ref}", valid_target(field)
+        for mode, ref_1, ref_2, out_ref in itertools.product((1, 2, 3), "st", "st", "st"):
+            branch = f"{label} combine {mode} {ref_1}{ref_2}>{out_ref}"
+            try:
+                yield branch, combine(flows[ref_1][0], flows[ref_2][1], mode, out_ref)
+            except FlowError as exc:
+                yield branch, f"FlowError: {exc}"
+
+
+def _digest_update(digest, out):
+    if isinstance(out, FlowField):
+        _digest_update(digest, (str(out.reference), out.vectors, out.mask))
+    elif isinstance(out, tuple):
+        for item in out:
+            _digest_update(digest, item)
+    elif isinstance(out, np.ndarray):
+        digest.update(f"{out.shape} {out.dtype.str}".encode())
+        digest.update(np.ascontiguousarray(out).tobytes())
+    else:
+        digest.update(str(out).encode())
+
+
+def test_warp_outputs_sha256():
+    digest = hashlib.sha256()
+    for label, out in _warp_outputs():
+        digest.update(label.encode())
+        _digest_update(digest, out)
+    assert digest.hexdigest() == WARP_SHA256
