@@ -13,11 +13,9 @@ validity masks, so the output mask is the conjunction of all warped
 operand masks and splat coverage.
 
 The warp from B's grid onto A's comes from f_ab, the known flow between A
-and B. When f_ab sits on A's grid, its far ends are A's cells seen in B,
-so the B-anchored operand is one backward sample there, whichever way
-f_ab runs. When f_ab sits on B's grid, the sum is splatted along f_ab if
-it runs B to A; if it runs A to B, f_ab is inverted and the sum sampled
-along the result.
+and B. When f_ab sits on A's grid, the B-anchored operand is pulled at its
+far ends, whichever way f_ab runs. When f_ab sits on B's grid, the sum is
+applied along f_ab, inverted first if it runs A to B.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ import enum
 import numpy as np
 
 from .core import FlowError, FlowField, Reference
-from .interp import masked_bilinear_sample
-from .ops import _far_ends, apply, invert, switch_reference
+from .ops import _pull, apply, invert, switch_reference
 
 __all__ = ["ComposeMode", "combine"]
 
@@ -95,10 +92,9 @@ def combine(
 
     Notes
     -----
-    Of the 24 mode and reference branches, only those whose f_ab sits on
-    B's grid and runs A to B call `invert`. The A-anchored branches sample
-    at f_ab's far ends instead, which costs no splat and, in modes 1 and
-    3, is more accurate than warping with the inverted flow.
+    Only the branches whose f_ab sits on B's grid and runs A to B call
+    `invert`. Pulling at f_ab's far ends costs no splat and, in modes 1
+    and 3, is more accurate than warping with the inverted flow.
     """
     mode = ComposeMode(mode)
     if f_first.shape != f_second.shape:
@@ -129,12 +125,8 @@ def combine(
     bc_mask = f_bc.mask
     anchored_at_a = _anchor_time(f_ab, ab_span) == a
     if anchored_at_a:
-        # f_ab's far ends are A's cells seen in B: read the B-anchored
-        # operand there. Cells where f_ab is invalid drop out of the mask below.
-        values, valid = masked_bilinear_sample(
-            bc_vectors, bc_mask, _far_ends(f_ab).reshape(-1, 2)
-        )
-        bc_vectors, bc_mask = values.reshape(bc_vectors.shape), valid.reshape(bc_mask.shape)
+        # f_ab's far ends are A's cells seen in B: pull the B-anchored operand there.
+        bc_vectors, bc_mask = _pull(f_ab, bc_vectors, bc_mask)
 
     # Finite operands near the float64 limit can overflow when added; that
     # is reported here, before a warp would blame the data for it.
@@ -145,10 +137,9 @@ def combine(
     mask = f_ab.mask & bc_mask
 
     if not anchored_at_a:
-        # The sum still sits on B's grid; move it onto A's with the flow
-        # that carries B's grid onto A's. A B-anchored f_ab running A to B
-        # is inverted first: a single splat of the sum to its far ends was
-        # measured to lose accuracy in modes 1 and 3.
+        # The sum still sits on B's grid; carry it onto A's along f_ab. An
+        # f_ab running A to B is inverted first: pushing the sum to its far
+        # ends was measured to lose accuracy in modes 1 and 3.
         warp = invert(f_ab) if ab_span[0] == a else f_ab
         vectors, mask = apply(warp, vectors, data_mask=mask)
 

@@ -4,13 +4,13 @@ A source-reference vector at grid cell g points from g to g + F(g), a
 target-reference one from g - F(g) to g; `_far_ends` forms that far end, the
 cell's position in the other frame, for every op that needs it.
 
-All functions are pure; they never mutate their inputs. Source-reference
-warps are forward splats (unstructured-to-grid interpolation) and can leave
-uncovered cells, which surface as false mask bits. Target-reference warps
-are backward bilinear samples and are hole-free but can read out of bounds,
-which likewise surfaces in the mask. Invalid output cells are zero-filled.
-Each operation picks its route from the field's reference alone, with the
-fixed thresholds `interp.WEIGHT_THRESHOLD` and `interp.OUT_OF_BOUNDS_TOL`.
+A source flow pushes: each valid cell's data is splatted to its far end
+(forward warping), which can leave cells uncovered. A target flow pulls:
+each cell samples the data at its far end (backward warping), which has no
+holes but can read out of bounds. `_push` and `_pull` are the only warps
+along a flow. Lost cells come back mask-false and zero, by the fixed
+thresholds `interp.WEIGHT_THRESHOLD` and `interp.OUT_OF_BOUNDS_TOL`. All
+functions are pure; they never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -56,23 +56,31 @@ def _far_ends(field: FlowField) -> np.ndarray:
     return step(ends, field.masked_vectors(), out=ends)
 
 
-def _rows_at(mask: np.ndarray, *grids: np.ndarray) -> list[np.ndarray]:
-    """Each (H, W, C) grid's (N, C) rows at the true cells of `mask`.
+def _push(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
+    """Splat the (H, W, C) `data` of cells valid in both masks to their far ends.
 
-    The same rows, in the same order, as `grid[mask]`, which numpy gathers
-    several times slower than a `take` of the flat cell indices.
+    Returns the result on the other frame's grid and its coverage mask.
     """
-    cells = np.flatnonzero(mask)
-    return [grid.reshape(mask.size, -1).take(cells, axis=0) for grid in grids]
+    cells = (field.mask & data_mask).ravel()
+    ends = np.compress(cells, _far_ends(field).reshape(-1, 2), axis=0)
+    values = np.compress(cells, data.reshape(cells.size, -1), axis=0)
+    return grid_from_unstructured_data(ends, values, field.shape)
+
+
+def _pull(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
+    """Sample the (H, W, C) `data` at each cell's far end; returns values and mask.
+
+    Cells where the sample (see `masked_bilinear_sample`) or the field is
+    invalid come back zero and mask-false.
+    """
+    values, valid = masked_bilinear_sample(data, data_mask, _far_ends(field).reshape(-1, 2))
+    # The sample zeroes what it marks invalid; only the field's own holes remain.
+    values[~field.mask.ravel()] = 0.0
+    return values.reshape(data.shape), valid.reshape(field.shape) & field.mask
 
 
 def apply(field: FlowField, data, data_mask=None):
-    """Warp grid data with a flow field.
-
-    Source reference: every valid cell g splats data(g) to the continuous
-    position g + F(g); the result is the weight-normalized accumulation
-    (forward warping). Target reference: the result at g is data sampled
-    at g - F(g) (backward warping).
+    """Warp grid data with a flow field: a source flow pushes it, a target flow pulls it.
 
     Parameters
     ----------
@@ -100,16 +108,8 @@ def apply(field: FlowField, data, data_mask=None):
     if dmask.shape != (h, w):
         raise FlowError(f"data_mask shape {dmask.shape} does not match flow dims {(h, w)}")
 
-    ends = _far_ends(field)
-    if field.reference is Reference.SOURCE:
-        positions, values = _rows_at(field.mask & dmask, ends, arr)
-        warped, mask = grid_from_unstructured_data(positions, values, (h, w))
-    else:
-        values, valid = masked_bilinear_sample(arr, dmask, ends.reshape(-1, 2))
-        mask = valid.reshape(h, w) & field.mask
-        warped = values.reshape(h, w, -1)
-        warped[~mask] = 0.0
-
+    warp = _push if field.reference is Reference.SOURCE else _pull
+    warped, mask = warp(field, arr, dmask)
     if squeeze:
         warped = warped[..., 0]
     return warped, mask
@@ -143,37 +143,24 @@ def track(field: FlowField, points) -> tuple[np.ndarray, np.ndarray]:
     return pts + sampled, valid
 
 
-def _carry(field: FlowField, payload: np.ndarray, reference: Reference) -> FlowField:
-    """Splat the (H, W, 2) `payload` of each valid cell to its far end.
-
-    The result lies on the grid of the other frame and is labelled with
-    `reference`. Only valid cells are gathered, so `payload` may hold
-    anything on invalid ones.
-    """
-    ends, values = _rows_at(field.mask, _far_ends(field), payload)
-    vectors, mask = grid_from_unstructured_data(ends, values, field.shape)
-    return FlowField._trusted(vectors, reference, mask)
-
-
 def switch_reference(field: FlowField) -> FlowField:
     """Re-express a flow in the opposite frame of reference.
 
-    Each valid vector is splatted to its far end: from g to g + F(g) onto
-    the grid of the frame it points into (source to target), or to
-    g - F(g) onto the grid of the frame it comes from (target to source).
-    Uncovered cells come back mask-false.
+    Each valid vector is pushed to its far end, onto the grid of the other
+    frame. Uncovered cells come back mask-false.
     """
-    return _carry(field, field.vectors, field.reference.opposite)
+    vectors, mask = _push(field, field.vectors, field.mask)
+    return FlowField._trusted(vectors, field.reference.opposite, mask)
 
 
 def invert(field: FlowField) -> FlowField:
     """Flow of the opposite temporal direction, in the same reference.
 
-    Computed by forward-warping the negated vector field: the negated
-    vectors are carried onto the grid of the other frame, where they
-    describe the reverse motion. Uncovered cells come back mask-false.
+    The negated vectors are pushed onto the grid of the other frame, where
+    they describe the reverse motion. Uncovered cells come back mask-false.
     """
-    return _carry(field, -field.vectors, field.reference)
+    vectors, mask = _push(field, -field.vectors, field.mask)
+    return FlowField._trusted(vectors, field.reference, mask)
 
 
 def _lands_in_grid(field: FlowField) -> np.ndarray:

@@ -21,7 +21,6 @@ from flowfield import (
     valid_target,
     zeros,
 )
-from flowfield.ops import _rows_at
 
 from conftest import assert_fresh_output, mean_epe, random_affine_flow
 
@@ -197,18 +196,6 @@ class TestCarryOutputInvariants:
         out = op(field)
         assert out.mask.any()
         assert_fresh_output(out, field)
-
-
-class TestRowsAt:
-    @pytest.mark.parametrize("valid_share", [0.0, 0.6, 1.0])
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 6)])
-    def test_same_rows_as_boolean_indexing(self, shape, valid_share, rng):
-        mask = rng.uniform(size=shape) < valid_share
-        grids = [rng.normal(size=(*shape, channels)) for channels in (1, 2, 3)]
-        for got, grid in zip(_rows_at(mask, *grids), grids):
-            want = grid[mask]
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
 
 
 class TestInvert:
