@@ -83,6 +83,17 @@ class Reference(enum.Enum):
 _STEP_ARITY = {"translation": 2, "rotation": 3, "scaling": 3}
 
 
+def _integer(value, least: int, name: str) -> int:
+    """`value` as a Python int if it is an integer-valued number >= `least`, else FlowError."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or value < least:
+        raise FlowError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _padding(value) -> tuple[int, int, int, int]:
     """Padding as a (top, bottom, left, right) tuple of Python ints.
 
@@ -93,14 +104,8 @@ def _padding(value) -> tuple[int, int, int, int]:
     values = tuple(value) if np.iterable(value) else (value,)
     if len(values) != 4:
         raise FlowError(f"padding needs 4 values (top, bottom, left, right), got {len(values)}")
-    for name, v in zip(("top", "bottom", "left", "right"), values):
-        try:
-            whole = int(v) == v
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole or v < 0:
-            raise FlowError(f"padding {name} must be a non-negative integer, got {v!r}")
-    return tuple(int(v) for v in values)
+    sides = ("top", "bottom", "left", "right")
+    return tuple(_integer(v, 0, f"padding {side}") for side, v in zip(sides, values))
 
 
 def _points(points) -> np.ndarray:
@@ -405,7 +410,7 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
         raise FlowError(f"resize to {(new_h, new_w)} would produce an empty grid")
     _check_cells(new_h, new_w)
     if (new_h, new_w) == (h, w) and sy == 1.0 and sx == 1.0:
-        return FlowField(field.vectors, field.reference, field.mask)
+        return FlowField(field.masked_vectors(), field.reference, field.mask)
 
     # Corner-aligned sample positions in the old grid.
     xs = np.linspace(0.0, w - 1.0, new_w) if new_w > 1 else np.zeros(1)
@@ -428,7 +433,7 @@ def pad(field: FlowField, padding) -> FlowField:
     _check_cells(h + top + bottom, w + left + right)
     vectors = np.zeros((h + top + bottom, w + left + right, 2))
     mask = np.zeros(vectors.shape[:2], dtype=bool)
-    vectors[top : top + h, left : left + w] = field.vectors
+    vectors[top : top + h, left : left + w] = field.masked_vectors()
     mask[top : top + h, left : left + w] = field.mask
     return FlowField(vectors, field.reference, mask)
 
@@ -439,6 +444,6 @@ def unpad(field: FlowField, padding) -> FlowField:
     h, w = field.shape
     if top + bottom + 1 > h or left + right + 1 > w:
         raise FlowError(f"cannot unpad {p} from a {h}x{w} field")
-    vectors = field.vectors[top : h - bottom, left : w - right]
+    vectors = field.masked_vectors()[top : h - bottom, left : w - right]
     mask = field.mask[top : h - bottom, left : w - right]
     return FlowField(vectors, field.reference, mask)

@@ -57,6 +57,8 @@ def _read_sidecar(flo_path) -> Reference | None:
 
 def save_flow(path, field: FlowField) -> None:
     """Write a .flo file (mask via the sentinel value) plus its .ref sidecar."""
+    if Path(path).suffix == ".ref":
+        raise FlowError(f"{path}: a .flo path ending in .ref would be its own sidecar")
     h, w = field.shape
     if h > MAX_DIM or w > MAX_DIM:
         raise FlowError(f"flow dims {(h, w)} exceed the .flo limit of {MAX_DIM}")

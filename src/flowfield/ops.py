@@ -253,9 +253,9 @@ def map_vectors(field: FlowField, func) -> FlowField:
 
     `func` receives the full (H, W, 2) vector array and must return an
     array of the same shape (e.g. ``lambda v: v ** 3``). Producing
-    non-finite values on valid cells is an error.
+    non-finite values on valid cells is an error; invalid cells come back zero.
     """
     out = np.asarray(func(field.masked_vectors()), dtype=np.float64)
     if out.shape != field.vectors.shape:
         raise FlowError(f"mapped vectors have shape {out.shape}, expected {field.vectors.shape}")
-    return FlowField(out, field.reference, field.mask)
+    return FlowField(np.where(field.mask[..., None], out, 0.0), field.reference, field.mask)

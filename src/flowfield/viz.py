@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference, grid_coordinates
+from .core import FlowError, FlowField, Reference, _integer, grid_coordinates
 from .ops import _far_ends
 
 __all__ = ["render_arrows", "render_colorwheel"]
@@ -120,8 +120,7 @@ def render_arrows(field: FlowField, stride: int = 1) -> np.ndarray:
     bit are skipped; each drawn arrow gets a dot marker at its lattice
     point.
     """
-    if stride < 1:
-        raise FlowError(f"stride must be >= 1, got {stride}")
+    stride = _integer(stride, 1, "stride")
     h, w = field.shape
     image = np.full((h, w, 3), 255, dtype=np.uint8)
 

@@ -46,10 +46,15 @@ def splat_bruteforce(positions, values, shape):
     return out, mask
 
 
-def assert_fresh_output(out, *inputs):
-    """The data-model invariants a kernel output is built on without checks."""
+def assert_invariants(out):
+    """The data-model invariants: zeros under false mask bits, finite values under true ones."""
     assert np.all(out.vectors[~out.mask] == 0.0)
     assert np.isfinite(out.vectors[out.mask]).all()
+
+
+def assert_fresh_output(out, *inputs):
+    """The data-model invariants a kernel output is built on without checks."""
+    assert_invariants(out)
     assert not out.vectors.flags.writeable and not out.mask.flags.writeable
     for field in inputs:
         for mine in (out.vectors, out.mask):

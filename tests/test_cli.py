@@ -336,6 +336,12 @@ class TestExitCodes:
         assert main(["invert", "-f", str(tmp_path / "no.flo"), "-o",
                      str(tmp_path / "o.flo")]) == 2
 
+    def test_output_that_is_its_own_sidecar_is_data_error(self, tmp_path):
+        out = tmp_path / "out.ref"
+        assert main(["make", "--transforms", "translation:1,2", "--size", "4x5",
+                     "--ref", "t", "-o", str(out)]) == 2
+        assert not out.exists()
+
     def test_corrupt_flo_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.flo"
         bad.write_bytes(b"nope")

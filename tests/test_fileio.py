@@ -177,6 +177,12 @@ class TestSidecar:
         (tmp_path / "f.ref").unlink()
         assert load_flow(path).reference is Reference.SOURCE
 
+    def test_path_that_is_its_own_sidecar_refused(self, tmp_path):
+        path = tmp_path / "f.ref"
+        with pytest.raises(FlowError, match="own sidecar"):
+            save_flow(path, zeros((3, 3), "t"))
+        assert not path.exists()
+
     def test_non_utf8_sidecar_rejected(self, tmp_path):
         path = tmp_path / "f.flo"
         save_flow(path, zeros((3, 3), "t"))

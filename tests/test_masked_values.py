@@ -12,11 +12,14 @@ import pytest
 from flowfield import (
     AffineTransform,
     FlowField,
+    Reference,
     apply,
     combine,
     fit_matrix,
     get_padding,
+    from_matrix,
     invert,
+    load_flow,
     map_vectors,
     pad,
     render_arrows,
@@ -28,9 +31,10 @@ from flowfield import (
     unpad,
     valid_source,
     valid_target,
+    zeros,
 )
 
-from conftest import random_affine_flow
+from conftest import assert_invariants, random_affine_flow
 
 SHAPE = (9, 11)
 _RNG = np.random.default_rng(5)
@@ -90,3 +94,53 @@ def test_invalid_cell_values_do_not_change_output(name, ref, fill, tmp_path):
     op = OPS[name]
     expected = canonical(op(FlowField(zeroed, ref, mask), tmp_path))
     assert canonical(op(FlowField(poisoned, ref, mask), tmp_path)) == expected
+
+
+def _reloaded(field, tmp_path):
+    path = tmp_path / "f.flo"
+    save_flow(path, field)
+    return load_flow(path)
+
+
+# Every public op that returns a FlowField, as (output, expected reference).
+FIELD_OPS = {
+    "zeros": lambda f, tmp: (zeros(f.shape, f.reference), f.reference),
+    "from_matrix": lambda f, tmp: (
+        from_matrix(AffineTransform.rotation(0.5, 0.5, 10.0), f.shape, f.reference, (1, 0, 2, 1)),
+        f.reference,
+    ),
+    "pad": lambda f, tmp: (pad(f, (1, 2, 3, 0)), f.reference),
+    "unpad": lambda f, tmp: (
+        unpad(f, (0, (f.shape[0] - 1) // 2, (f.shape[1] - 1) // 2, 0)),
+        f.reference,
+    ),
+    "resize-1": lambda f, tmp: (resize(f, (1.0, 1.0)), f.reference),
+    "resize-1.5": lambda f, tmp: (resize(f, (1.5, 1.5)), f.reference),
+    # `func` itself writes junk under the false bits.
+    "map_vectors": lambda f, tmp: (
+        map_vectors(f, lambda v: np.where(f.mask[..., None], 2.0 * v, np.inf)),
+        f.reference,
+    ),
+    "invert": lambda f, tmp: (invert(f), f.reference),
+    "switch_reference": lambda f, tmp: (switch_reference(f), f.reference.opposite),
+    **{
+        f"combine-{mode}{r}": lambda f, tmp, m=mode, r=r: (combine(f, f, m, r), Reference(r))
+        for mode in (1, 2, 3)
+        for r in "st"
+    },
+    "save_flow-load_flow": lambda f, tmp: (_reloaded(f, tmp), f.reference),
+}
+
+
+@pytest.mark.parametrize("valid_share", [1.0, 0.8, 0.0])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 9)])
+@pytest.mark.parametrize("ref", ["s", "t"])
+@pytest.mark.parametrize("name", list(FIELD_OPS))
+def test_field_output_keeps_invariants(name, ref, shape, valid_share, tmp_path):
+    rng = np.random.default_rng(17)
+    mask = rng.uniform(size=shape) < valid_share
+    vectors = np.where(mask[..., None], rng.uniform(-2.0, 2.0, (*shape, 2)), np.nan)
+    vectors[..., 1][~mask] = 1e308
+    out, reference = FIELD_OPS[name](FlowField(vectors, ref, mask), tmp_path)
+    assert out.reference is reference
+    assert_invariants(out)

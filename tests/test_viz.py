@@ -174,8 +174,14 @@ class TestArrows:
         assert np.array_equal(img, np.full((5, 5, 3), 255, np.uint8))
 
     def test_bad_stride_rejected(self):
-        with pytest.raises(FlowError):
-            render_arrows(zeros((4, 4)), stride=0)
+        for stride in [0, -2, 2.5, np.nan, np.inf, "2", None]:
+            with pytest.raises(FlowError, match="stride"):
+                render_arrows(zeros((4, 4)), stride=stride)
+
+    @pytest.mark.parametrize("stride", [3.0, np.float64(3.0), np.int64(3)])
+    def test_integer_valued_stride_accepted(self, stride):
+        field = constant_flow((7, 8), 2.0, 1.0)
+        assert np.array_equal(render_arrows(field, stride=stride), render_arrows(field, stride=3))
 
 
 class TestDrawLine:
