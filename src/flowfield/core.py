@@ -324,6 +324,18 @@ def _check_cells(h: int, w: int) -> None:
         raise FlowError(f"a {h}x{w} grid exceeds the budget of {MAX_CELLS} cells")
 
 
+def _grid_axes(shape: tuple[int, int], padding) -> tuple[np.ndarray, np.ndarray]:
+    """x (W,) and y (H, 1) coordinate axes of a grid, padded as in `grid_coordinates`."""
+    h, w = int(shape[0]), int(shape[1])
+    if h < 1 or w < 1:
+        raise FlowError(f"grid shape must be at least 1x1, got {shape}")
+    top, bottom, left, right = (0, 0, 0, 0) if padding is None else _padding(padding)
+    _check_cells(h + top + bottom, w + left + right)
+    xs = np.arange(-left, w + right, dtype=np.float64)
+    ys = np.arange(-top, h + bottom, dtype=np.float64)
+    return xs, ys[:, None]
+
+
 def grid_coordinates(shape: tuple[int, int], padding=None) -> np.ndarray:
     """(H, W, 2) array of grid point coordinates, channels (x, y).
 
@@ -332,16 +344,10 @@ def grid_coordinates(shape: tuple[int, int], padding=None) -> np.ndarray:
     H-1+bottom, so the returned array has the padded shape while staying in
     the unpadded coordinate frame.
     """
-    h, w = int(shape[0]), int(shape[1])
-    if h < 1 or w < 1:
-        raise FlowError(f"grid shape must be at least 1x1, got {shape}")
-    top, bottom, left, right = (0, 0, 0, 0) if padding is None else _padding(padding)
-    _check_cells(h + top + bottom, w + left + right)
-    xs = np.arange(-left, w + right, dtype=np.float64)
-    ys = np.arange(-top, h + bottom, dtype=np.float64)
+    xs, ys = _grid_axes(shape, padding)
     grid = np.empty((ys.size, xs.size, 2), dtype=np.float64)
-    grid[..., 0] = xs[None, :]
-    grid[..., 1] = ys[:, None]
+    grid[..., 0] = xs
+    grid[..., 1] = ys
     return grid
 
 
@@ -368,14 +374,23 @@ def from_matrix(
     if not isinstance(matrix, AffineTransform):
         matrix = AffineTransform(matrix)
     ref = Reference.parse(reference)
-    grid = grid_coordinates(shape, padding)
-    if ref is Reference.SOURCE:
-        mapped = matrix.apply(grid.reshape(-1, 2)).reshape(grid.shape)
-        vectors = mapped - grid
-    else:
-        pulled = matrix.inverse().apply(grid.reshape(-1, 2)).reshape(grid.shape)
-        vectors = grid - pulled
-    return FlowField(vectors, ref)
+    xs, ys = _grid_axes(shape, padding)
+    m = (matrix if ref is Reference.SOURCE else matrix.inverse()).matrix
+    vectors = np.empty((ys.size, xs.size, 2), dtype=np.float64)
+    # Separable: component c of M*g - g is a term on its own axis, m_cc*g_c - g_c,
+    # plus one on the other axis, m_co*g_o + m_c2. Both are formed on the axes and
+    # meet in one broadcast pass (g - M*g for a target flow, M its inverse there).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, (own, other) in enumerate(((xs, ys), (ys, xs))):
+            scaled = m[c, c] * own
+            across = m[c, 1 - c] * other + m[c, 2]
+            if ref is Reference.SOURCE:
+                np.add(scaled - own, across, out=vectors[..., c])
+            else:
+                np.subtract(own - scaled, across, out=vectors[..., c])
+    if not np.isfinite(vectors).all():
+        raise FlowError("the affine map overflows float64 on this grid")
+    return FlowField._trusted(vectors, ref, np.ones(vectors.shape[:2], dtype=bool))
 
 
 def from_transforms(

@@ -79,9 +79,12 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
     """Read a .flo file; sentinel cells become mask-false zero vectors.
 
     The reference comes from `reference` if given, else from the .ref
-    sidecar if present, else it is source.
+    sidecar if present, else it is source. A path ending in .ref would be
+    its own sidecar, so it needs an explicit `reference`.
     """
     if reference is None:
+        if Path(path).suffix == ".ref":
+            raise FlowError(f"{path}: a .flo path ending in .ref needs an explicit reference")
         reference = _read_sidecar(path) or Reference.SOURCE
     with open(path, "rb") as fh:
         header = fh.read(12)

@@ -88,21 +88,25 @@ def _corners(points, h: int, w: int):
     x, y = pts[:, 0], pts[:, 1]
     in_bounds = _in_bounds(x, y, h, w)
 
-    xc = np.clip(x, 0.0, w - 1.0)
-    yc = np.clip(y, 0.0, h - 1.0)
-    x0 = xc.astype(np.intp)  # truncation == floor for non-negative values
-    y0 = yc.astype(np.intp)
-    fx = xc - x0
-    fy = yc - y0
-    x_step = (x0 < w - 1).astype(np.intp)
-    y_step = (y0 < h - 1).astype(np.intp) * w
+    # Formed in place: the clamped coordinates become the fractions and the
+    # row index becomes the base index, with the arithmetic of the plain form.
+    fx = np.clip(x, 0.0, w - 1.0)
+    fy = np.clip(y, 0.0, h - 1.0)
+    x0 = fx.astype(np.intp)  # truncation == floor for non-negative values
+    base = fy.astype(np.intp)
+    fx -= x0
+    fy -= base
+    x_step = x0 < w - 1  # a bool adds as 0 or 1
+    y_step = np.where(base < h - 1, w, 0)
+    base *= w
+    base += x0
 
-    base = y0 * w + x0
     w11 = fx * fy
     w10 = fy - w11
     w01 = fx - w11
     w00 = 1.0 - fx - w10
-    index = (base, base + x_step, base + y_step, base + y_step + x_step)
+    below = base + y_step
+    index = (base, base + x_step, below, below + x_step)
     return index, (w00, w01, w10, w11), in_bounds
 
 
@@ -266,9 +270,8 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     weight = interior[0]
     mask = weight > WEIGHT_THRESHOLD
     out = np.zeros((h, w, n_channels), dtype=np.float64)
-    np.divide(
-        interior[1:].transpose(1, 2, 0), weight[..., None], out=out, where=mask[..., None]
-    )
+    for c in range(n_channels):
+        np.divide(interior[1 + c], weight, out=out[..., c], where=mask)
     if not np.isfinite(out).all():
         raise FlowError("splatted values overflow float64")
     if squeeze:

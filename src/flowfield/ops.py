@@ -62,8 +62,11 @@ def _push(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
     Returns the result on the other frame's grid and its coverage mask.
     """
     cells = (field.mask & data_mask).ravel()
-    ends = np.compress(cells, _far_ends(field).reshape(-1, 2), axis=0)
-    values = np.compress(cells, data.reshape(cells.size, -1), axis=0)
+    ends = _far_ends(field).reshape(-1, 2)
+    values = data.reshape(cells.size, -1)
+    if not cells.all():
+        ends = np.compress(cells, ends, axis=0)
+        values = np.compress(cells, values, axis=0)
     return grid_from_unstructured_data(ends, values, field.shape)
 
 

@@ -174,8 +174,10 @@ def run_trials(
         computed = combine(f_first, f_second, mode, ref_out)
         truth = from_matrix(unknown, size, ref_out)
 
-        valid = computed.mask
-        diff = computed.vectors[valid] - truth.vectors[valid]
+        # One flat-row gather per operand; boolean indexing of (H, W, 2) is slower.
+        cells = computed.mask.ravel()
+        truth_valid = np.compress(cells, truth.vectors.reshape(-1, 2), axis=0)
+        diff = np.compress(cells, computed.vectors.reshape(-1, 2), axis=0) - truth_valid
         err = np.hypot(diff[:, 0], diff[:, 1])
         n_total += err.size
         if err.size:
@@ -183,9 +185,7 @@ def run_trials(
             err_max = max(err_max, float(err.max()))
             n_abs_005 += int(np.count_nonzero(err < 0.05))
             n_abs_0005 += int(np.count_nonzero(err < 0.005))
-            true_mag = np.hypot(
-                truth.vectors[valid][:, 0], truth.vectors[valid][:, 1]
-            )
+            true_mag = np.hypot(truth_valid[:, 0], truth_valid[:, 1])
             eligible = true_mag >= REL_ERROR_MIN_MAGNITUDE
             rel = err[eligible] / true_mag[eligible]
             n_rel += rel.size
@@ -200,7 +200,8 @@ def run_trials(
 
     return AccuracyReport(
         n_vectors=n_total,
-        mean_abs_err=err_sum / n_total,
+        # A float sum of equal errors can round the mean one ulp above them.
+        mean_abs_err=min(err_sum / n_total, err_max),
         max_abs_err=err_max,
         frac_abs_below_005=n_abs_005 / n_total,
         frac_abs_below_0005=n_abs_0005 / n_total,

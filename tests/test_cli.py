@@ -51,6 +51,15 @@ class TestMake:
         )
         assert code == 1
 
+    def test_overflow_is_data_error_without_warning(self, tmp_path):
+        # A subprocess, so numpy's RuntimeWarning would reach stderr as printed text.
+        proc = run_subprocess("make", "--transforms", "scaling:0,0,1e308", "--size", "3x4",
+                              "--ref", "s", "-o", "out.flo", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "overflow" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.flo").exists()
+
     def test_bad_size_is_usage_error(self, tmp_path):
         code = main(
             ["make", "--transforms", "translation:1,1", "--size", "4by4",
@@ -341,6 +350,17 @@ class TestExitCodes:
         assert main(["make", "--transforms", "translation:1,2", "--size", "4x5",
                      "--ref", "t", "-o", str(out)]) == 2
         assert not out.exists()
+
+    def test_ref_named_flo_input_is_data_error(self, tmp_path, capsys):
+        save_flow(tmp_path / "f.flo", zeros((4, 5), "t"))
+        flo = tmp_path / "a.ref"
+        flo.write_bytes((tmp_path / "f.flo").read_bytes())
+        out = tmp_path / "o.flo"
+        assert main(["invert", "-f", str(flo), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "explicit reference" in err and "PIEH" not in err
+        assert not out.exists()
+        assert main(["invert", "-f", str(flo), "--ref", "t", "-o", str(out)]) == 0
 
     def test_corrupt_flo_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.flo"

@@ -1,6 +1,7 @@
 """Core type and constructor tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from flowfield import (
     unpad,
     zeros,
 )
+from flowfield.verify import trial_matrices
 
 
 class TestReference:
@@ -274,6 +276,67 @@ class TestFromTransforms:
         fs = from_matrix(m, (6, 8), "s")
         ft = from_matrix(m, (6, 8), "t")
         assert np.allclose(fs.vectors, ft.vectors)
+
+
+def from_matrix_matmul(matrix, shape, reference, padding=None):
+    """`from_matrix` as one matrix product over a full coordinate grid.
+
+    Kept as the oracle of the separable version, which forms each component
+    from terms on the x and y axes; the two differ only by rounding.
+    """
+    grid = grid_coordinates(shape, padding)
+    if Reference.parse(reference) is Reference.SOURCE:
+        return matrix.apply(grid.reshape(-1, 2)).reshape(grid.shape) - grid
+    return grid - matrix.inverse().apply(grid.reshape(-1, 2)).reshape(grid.shape)
+
+
+class TestFromMatrixSeparable:
+    @pytest.mark.parametrize("ref", ["s", "t"])
+    def test_agrees_with_matmul_oracle(self, ref):
+        rng = np.random.default_rng(11)
+        shape = (60, 90)
+        worst = 0.0
+        for draw in range(200):
+            padding = (3, 1, 4, 2) if draw % 2 else None
+            for m in trial_matrices(rng, shape, 50.0):
+                got = from_matrix(m, shape, ref, padding)
+                want = from_matrix_matmul(m, shape, ref, padding)
+                assert got.mask.all() and got.shape == want.shape[:2]
+                worst = max(worst, float(np.abs(got.vectors - want).max()))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("ref", ["s", "t"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1)], ids=["1x1", "1xW", "Hx1"])
+    def test_degenerate_grids_agree_with_oracle(self, ref, shape):
+        rng = np.random.default_rng(12)
+        for padding in (None, (0, 0, 0, 0), (2, 0, 1, 3)):
+            for m in trial_matrices(rng, (20, 30), 50.0):
+                got = from_matrix(m, shape, ref, padding)
+                want = from_matrix_matmul(m, shape, ref, padding)
+                assert got.vectors.shape == want.shape
+                assert np.abs(got.vectors - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("ref", ["s", "t"])
+    def test_identity_gives_exact_positive_zeros(self, ref):
+        f = from_matrix(AffineTransform.identity(), (5, 7), ref, padding=(2, 1, 3, 0))
+        assert np.array_equal(f.vectors, np.zeros((8, 10, 2)))
+        assert not np.signbit(f.vectors).any()
+
+    @pytest.mark.parametrize(
+        "matrix, ref",
+        [
+            ([[1e308, 0, 0], [0, 1, 0], [0, 0, 1]], "s"),
+            ([[1, 0, 0], [0, 1e308, 1e308], [0, 0, 1]], "s"),
+            # The inverse scales x by 1e308.
+            ([[1e-308, 0, 0], [0, 1e308, 0], [0, 0, 1]], "t"),
+        ],
+        ids=["source-scale", "source-offset", "target-inverse"],
+    )
+    def test_overflow_is_flow_error_without_warning(self, matrix, ref):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FlowError, match="overflow"):
+                from_matrix(matrix, (3, 4), ref)
 
 
 class TestResize:

@@ -183,6 +183,18 @@ class TestSidecar:
             save_flow(path, zeros((3, 3), "t"))
         assert not path.exists()
 
+    def test_ref_named_flo_needs_explicit_reference(self, tmp_path):
+        # A .flo file named *.ref would be read as its own sidecar.
+        save_flow(tmp_path / "f.flo", zeros((3, 3), "t"))
+        path = tmp_path / "a.ref"
+        path.write_bytes((tmp_path / "f.flo").read_bytes())
+        with pytest.raises(FlowError, match="explicit reference") as caught:
+            load_flow(path)
+        assert "PIEH" not in str(caught.value)
+        loaded = load_flow(path, "t")
+        assert loaded.reference is Reference.TARGET
+        assert np.array_equal(loaded.vectors, np.zeros((3, 3, 2)))
+
     def test_non_utf8_sidecar_rejected(self, tmp_path):
         path = tmp_path / "f.flo"
         save_flow(path, zeros((3, 3), "t"))

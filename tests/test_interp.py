@@ -186,6 +186,36 @@ class TestMaskedSampleFused:
         assert got.tobytes() == want.tobytes()
 
 
+class TestSignOfZero:
+    """The blend works channel by channel on real weights, so -0.0 stays -0.0.
+
+    A blend over complex channel pairs would multiply (-0.0, v) by (w, 0)
+    and give +0.0; only the bytes show the difference.
+    """
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("sampler", ["plain", "masked-full", "masked-partial"])
+    def test_negative_zero_survives(self, channels, sampler):
+        cell = np.array([-0.0, -1.5, -0.0])[:channels]
+        data = np.tile(cell, (2, 3, 1))
+        mask = np.ones((2, 3), bool)
+        if sampler == "masked-partial":
+            mask[:, 2] = False
+            data[:, 2] = np.nan
+        # Points whose whole stencil lies on the four left cells, corners included.
+        rng = np.random.default_rng(channels)
+        points = rng.uniform((0.0, 0.0), (0.999, 1.0), size=(50, 2))
+        points[:4] = [[0.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.999, 1.0]]
+        if sampler == "plain":
+            values, valid = bilinear_sample(data, points)
+        else:
+            values, valid = masked_bilinear_sample(data, mask, points)
+        assert valid.all()
+        assert values.shape == (50, channels)
+        assert np.signbit(values).all()
+        assert np.array_equal(values[:, 0], np.full(50, -0.0))
+
+
 class TestSplat:
     def test_single_sample_on_lattice_point(self):
         grid, mask = grid_from_unstructured_data([[2.0, 3.0]], [5.0], (5, 6))

@@ -70,6 +70,12 @@ class TestRunTrials:
         b = run_trials(3, 5, (30, 40), 10.0, seed=8)
         assert a != b
 
+    def test_equal_errors_report_mean_at_most_max(self):
+        # Two translations compose with one error, 5.02e-15 px, on every
+        # vector; summed, their mean rounds one ulp above it.
+        report = run_trials(2, 1, (150, 250), 50.0, seed=2000262)
+        assert report.mean_abs_err == report.max_abs_err < 1e-12
+
     def test_invalid_trials_rejected(self):
         with pytest.raises(FlowError):
             run_trials(3, 0)
