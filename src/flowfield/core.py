@@ -201,7 +201,12 @@ class AffineTransform:
         return combined
 
     def __matmul__(self, other: "AffineTransform") -> "AffineTransform":
-        return AffineTransform(self.matrix @ other.matrix)
+        # Overflow near the float64 limit is reported below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = self.matrix @ other.matrix
+        if not np.isfinite(product).all():
+            raise FlowError("composed transform overflows float64")
+        return AffineTransform(product)
 
     @property
     def determinant(self) -> float:

@@ -13,13 +13,17 @@ by `core._points`.
 Both kernels are sequential and always deterministic, so a fixed seed pins
 `verify-compose` byte for byte. Accumulation happens in double precision
 regardless of input dtype, since division by small weight sums is the
-dominant error source.
+dominant error source. The masked sample and the splat walk their points
+in fixed-size blocks, in order, so that each block's temporaries stay in
+cache; no output bit depends on the block size.
 
 The splat sums into one accumulator with a row for the weight and one per
 channel, over the grid plus a border (one cell before, two after) wide
-enough for every corner of a retained sample, so no corner is masked. The
-summation order is unchanged from a per-corner masked loop, and so is every
-output bit. The thresholds are fixed constants, not parameters: a splatted
+enough for every corner of a retained sample, so no corner is masked. Each
+corner sums into zeroed rows of its own with `np.add.at`, which adds in
+sample order from +0.0, and is then added to the total. The summation
+order is unchanged from a per-corner masked loop, and so is every output
+bit. The thresholds are fixed constants, not parameters: a splatted
 cell needs more than `WEIGHT_THRESHOLD` accumulated weight, and a position
 within `OUT_OF_BOUNDS_TOL` of the grid counts as inside it.
 """
@@ -49,6 +53,10 @@ OUT_OF_BOUNDS_TOL = 1e-9
 # Sampled boolean data counts as set when the valid blend weight reaches 1/2.
 MASK_SAMPLE_THRESHOLD = 0.5
 
+# Points per block of both kernels, so that each block's temporaries stay in
+# cache. No output bit depends on it.
+_BLOCK = 8192
+
 
 def _channels_last(grid: np.ndarray) -> tuple[np.ndarray, bool]:
     """View (H, W) data as (H, W, 1); report whether a channel axis was added."""
@@ -77,14 +85,13 @@ def _grid_rows(grid) -> tuple[np.ndarray, int, int, bool]:
     return data.reshape(h * w, n_channels), h, w, squeeze
 
 
-def _corners(points, h: int, w: int):
-    """Bilinear stencil of each point on an (H, W) grid.
+def _corners(pts: np.ndarray, h: int, w: int):
+    """Bilinear stencil of each checked (N, 2) point on an (H, W) grid.
 
     Returns the flat indices of the four surrounding cells, their weights
     (both in the order (0, 0), (1, 0), (0, 1), (1, 1)) and the in-bounds
     flag. Coordinates are clamped first, so every index is on the grid.
     """
-    pts = _points(points)
     x, y = pts[:, 0], pts[:, 1]
     in_bounds = _in_bounds(x, y, h, w)
 
@@ -138,7 +145,7 @@ def bilinear_sample(grid, points):
     in_bounds : ndarray of bool, shape (N,)
     """
     rows, h, w, squeeze = _grid_rows(grid)
-    index, weight, in_bounds = _corners(points, h, w)
+    index, weight, in_bounds = _corners(_points(points), h, w)
     values = _blend(rows, index, weight)
     if squeeze:
         values = values[:, 0]
@@ -172,21 +179,82 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(clean).all():
         raise FlowError("data must be finite on valid cells")
     rows, h, w, squeeze = _grid_rows(clean)
-    index, weight, in_bounds = _corners(points, h, w)
-    values = _blend(rows, index, weight)
-    if all_valid:
-        valid = in_bounds
-    else:
-        cell_weight = valid_cells.reshape(h * w, 1).astype(np.float64)
-        coverage = _blend(cell_weight, index, weight)[:, 0]
-        valid = in_bounds & (coverage >= MASK_SAMPLE_THRESHOLD)
-        scale = np.ones_like(coverage)
-        np.divide(1.0, coverage, out=scale, where=valid)
-        values = values * scale[:, None]
-    values[~valid] = 0.0
+    pts = _points(points)
+    # A bool cell blends as 1.0 or 0.0 times each weight, with no float copy.
+    cell_weight = None if all_valid else valid_cells.reshape(h * w, 1)
+    values = np.empty((len(pts), rows.shape[1]))
+    valid = np.empty(len(pts), dtype=bool)
+    for start in range(0, len(pts), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        index, weight, ok = _corners(pts[block], h, w)
+        part = _blend(rows, index, weight)
+        if cell_weight is not None:
+            coverage = _blend(cell_weight, index, weight)[:, 0]
+            ok &= coverage >= MASK_SAMPLE_THRESHOLD
+            scale = np.ones_like(coverage)
+            np.divide(1.0, coverage, out=scale, where=ok)
+            part *= scale[:, None]
+        part[~ok] = 0.0
+        values[block] = part
+        valid[block] = ok
     if squeeze:
         values = values[:, 0]
     return values, valid
+
+
+def _splat_sums(pts: np.ndarray, vals: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Splat sums of checked (N, 2) points and (N, C) values, shape (1 + C, (H+3)*(W+3)).
+
+    Row 0 holds the weight and row 1 + c the weighted channel c. A kept
+    sample's corners span [-1, W+1] x [-1, H+1]; a border of one cell before
+    and two after holds them all, so no corner needs a test. A dropped
+    sample is sent to the border cell after the last row and column, where
+    none of its corners touches the grid. Only the returned sums outlive
+    the call, so the per-sample arrays are gone before the caller divides.
+    """
+    pw = w + 3
+    dropped = (h + 1) * pw + w + 1
+    n = len(pts)
+    fx = np.empty(n)
+    fy = np.empty(n)
+    base = np.empty(n, dtype=np.intp)
+    acc = np.zeros((1 + vals.shape[1], (h + 3) * pw), dtype=np.float64)
+    part = np.empty_like(acc)
+    # The base index of a dropped sample far out can overflow before it is
+    # replaced. Sums of finite values near the float64 limit can overflow (or
+    # meet as inf - inf) across corners; the caller's finite check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            x, y = pts[block, 0], pts[block, 1]
+            keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
+            # The floors stay float64, exact for these small integers.
+            x0 = np.floor(x)
+            y0 = np.floor(y)
+            np.subtract(x, x0, out=fx[block])
+            np.subtract(y, y0, out=fy[block])
+            base[block] = np.where(keep, (y0 + 1.0) * pw + (x0 + 1.0), dropped)
+
+        # Each corner sums into zeroed rows of its own, in sample order and
+        # block by block, and is then added to the total, so each cell sums
+        # corner by corner: one pass over all four corners would reorder the
+        # sums and move bits.
+        for corner, offset in enumerate((0, 1, pw, pw + 1)):
+            rows = part if offset else acc
+            if offset:
+                part.fill(0.0)
+            for start in range(0, n, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                wx = fx[block] if corner & 1 else 1.0 - fx[block]
+                wy = fy[block] if corner & 2 else 1.0 - fy[block]
+                contrib = wx * wy
+                index = base[block]
+                np.add.at(rows[0, offset:], index, contrib)
+                for c in range(vals.shape[1]):
+                    np.add.at(rows[1 + c, offset:], index, contrib * vals[block, c])
+            if offset:
+                acc += part
+    return acc
 
 
 def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
@@ -204,7 +272,9 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     retained sample lands inside it, so no corner is masked. Each cell sums
     its contributions corner by corner, (0, 0), (1, 0), (0, 1), (1, 1), and
     within a corner in sample order: the summation order, and with it every
-    output bit, is that of masking each corner in turn.
+    output bit, is that of masking each corner in turn. Samples are taken
+    in fixed-size blocks, which changes the memory traffic but not the
+    order.
 
     Parameters
     ----------
@@ -234,39 +304,8 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
         raise FlowError("values must be finite")
     n_channels = vals.shape[1]
 
-    x, y = pts[:, 0], pts[:, 1]
-    keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
-    if not np.all(keep):
-        # compress: boolean indexing gathers (N, C) rows several times slower.
-        x, y, vals = x[keep], y[keep], np.compress(keep, vals, axis=0)
-
-    # A kept sample's corners span [-1, W+1] x [-1, H+1]; a border of one
-    # cell below and two above holds them all, so no corner needs a test.
-    pw = w + 3
-    n_cells = (h + 3) * pw
-    x0 = np.floor(x).astype(np.intp)
-    y0 = np.floor(y).astype(np.intp)
-    fx = x - x0
-    fy = y - y0
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    base = (y0 + 1) * pw + (x0 + 1)
-
-    # Row 0 accumulates weight, row 1 + c the weighted channel c. Keep one
-    # bincount per corner and row: a single bincount over all four corners
-    # would reorder each cell's sum and change output bits.
-    acc = np.zeros((1 + n_channels, n_cells), dtype=np.float64)
-    # Sums of finite values near the float64 limit can overflow (or meet as
-    # inf - inf) across corners; the finite check on the means reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for offset, wx, wy in ((0, gx, gy), (1, fx, gy), (pw, gx, fy), (pw + 1, fx, fy)):
-            lin = base + offset
-            contrib = wx * wy
-            acc[0] += np.bincount(lin, weights=contrib, minlength=n_cells)
-            for c in range(n_channels):
-                acc[1 + c] += np.bincount(lin, weights=contrib * vals[:, c], minlength=n_cells)
-
-    interior = acc.reshape(1 + n_channels, h + 3, pw)[:, 1 : h + 1, 1 : w + 1]
+    sums = _splat_sums(pts, vals, h, w).reshape(1 + n_channels, h + 3, w + 3)
+    interior = sums[:, 1 : h + 1, 1 : w + 1]
     weight = interior[0]
     mask = weight > WEIGHT_THRESHOLD
     out = np.zeros((h, w, n_channels), dtype=np.float64)

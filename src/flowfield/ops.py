@@ -226,28 +226,47 @@ def fit_matrix(field: FlowField) -> tuple[AffineTransform, float]:
     cells. Target reference: fits the correspondences (g - F(g)) -> g.
     Returns the transform and the RMS endpoint residual in pixels.
 
-    Raises FlowError when fewer than 3 valid cells exist, the support is
-    degenerate, or the fit overflows float64.
+    The fit runs on start points centred and scaled per axis, and its
+    solution is mapped back to pixels. Raises FlowError when fewer than 3
+    valid cells exist, the support is degenerate, the start points are too
+    large for the fitted map to be represented, or the fit overflows
+    float64.
     """
     if np.count_nonzero(field.mask) < 3:
         raise FlowError("matrix fit needs at least 3 valid cells")
     grid = grid_coordinates(field.shape)[field.mask]
     ends = _far_ends(field)[field.mask]
     src, dst = (grid, ends) if field.reference is Reference.SOURCE else (ends, grid)
-    design = np.column_stack([src, np.ones(len(src))])
+    too_large = "matrix fit is ill-conditioned (start points on a line or too large)"
     # Overflow near the float64 limit is reported below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        # The design is centred and scaled to [-1, 1] per axis, so its rank
+        # shows the shape of the support whatever its size.
+        low, high = src.min(axis=0), src.max(axis=0)
+        centre = (low + high) / 2.0
+        spread = (high - low) / 2.0
+        spread[spread == 0.0] = 1.0  # a constant axis stays a zero column
+        design = np.column_stack([(src - centre) / spread, np.ones(len(src))])
+        if not np.isfinite(design).all():
+            raise FlowError(too_large)
         solution, _, rank, _ = np.linalg.lstsq(design, dst, rcond=None)
         residual = design @ solution - dst
         rms = float(np.sqrt(np.mean(np.sum(residual**2, axis=1))))
+        linear = solution[:2] / spread[:, None]
+        offset = solution[2] - centre @ linear
+        # Regular in scaled units but singular once mapped back to pixels.
+        underflows = np.linalg.det(solution[:2]) != 0.0 and (
+            abs(np.linalg.det(linear)) < np.finfo(float).tiny
+        )
     if rank < 3 and field.reference is Reference.SOURCE:
         raise FlowError("matrix fit support is degenerate (collinear valid cells)")
-    if rank < 3:
-        raise FlowError("matrix fit is ill-conditioned (start points on a line or too large)")
-    if not np.isfinite(rms):
+    if rank < 3 or underflows:
+        raise FlowError(too_large)
+    if not (np.isfinite(rms) and np.isfinite(linear).all() and np.isfinite(offset).all()):
         raise FlowError("matrix fit overflows float64")
     matrix = np.eye(3)
-    matrix[:2, :] = solution.T
+    matrix[:2, :2] = linear.T
+    matrix[:2, 2] = offset
     return AffineTransform(matrix), rms
 
 

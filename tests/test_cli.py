@@ -60,6 +60,14 @@ class TestMake:
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out.flo").exists()
 
+    def test_overflowing_composition_is_data_error_without_warning(self, tmp_path):
+        proc = run_subprocess("make", "--transforms", "scaling:0,0,1e200;scaling:0,0,1e200",
+                              "--size", "3x4", "--ref", "s", "-o", "x.flo", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "overflow" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.flo").exists()
+
     def test_bad_size_is_usage_error(self, tmp_path):
         code = main(
             ["make", "--transforms", "translation:1,1", "--size", "4by4",

@@ -257,6 +257,12 @@ class TestFromTransforms:
             f = from_transforms([], (4, 5), ref)
             assert np.array_equal(f.vectors, np.zeros((4, 5, 2)))
 
+    def test_overflowing_composition_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FlowError, match="overflow"):
+                from_transforms([("scaling", 0, 0, 1e200)] * 2, (3, 4), "s")
+
     def test_target_needs_invertible_matrix(self):
         with pytest.raises(FlowError):
             from_transforms([("scaling", 0, 0, 0.0)], (4, 5), "t")

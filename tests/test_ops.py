@@ -13,6 +13,7 @@ from flowfield import (
     from_matrix,
     from_transforms,
     get_padding,
+    grid_coordinates,
     invert,
     map_vectors,
     switch_reference,
@@ -392,6 +393,19 @@ class TestFitMatrix:
         vectors = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 7, 2)) * scale
         with pytest.raises(FlowError, match="overflow"):
             fit_matrix(FlowField(vectors, "s"))
+
+    def test_large_target_start_points_that_span_the_plane_fit(self):
+        # All 42 cells are valid and their start points g - F(g) span the
+        # plane; the unscaled design [x, y, 1] ranked them as a line.
+        vectors = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 7, 2)) * 1e15
+        fitted, rms = fit_matrix(FlowField(vectors, "t"))
+        grid = grid_coordinates((6, 7)).reshape(-1, 2)
+        # Random start points: no map fits them exactly. The returned
+        # matrix, mapped back from scaled units, has the reported residual.
+        mapped = fitted.apply(grid - vectors.reshape(-1, 2))
+        explicit = np.sqrt(np.mean(np.sum((mapped - grid) ** 2, axis=1)))
+        assert 0.0 < rms < 5.0
+        assert explicit == pytest.approx(rms, rel=1e-6)
 
     @pytest.mark.parametrize("scale", [1e307, 1.7e308])
     def test_huge_target_start_points_not_blamed_on_cells(self, scale):
