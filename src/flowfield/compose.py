@@ -24,7 +24,7 @@ import enum
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference
+from .core import FlowError, FlowField, Reference, _where_valid
 from .ops import _pull, apply, invert, switch_reference
 
 __all__ = ["ComposeMode", "combine"]
@@ -143,7 +143,7 @@ def combine(
         warp = invert(f_ab) if ab_span[0] == a else f_ab
         vectors, mask = apply(warp, vectors, data_mask=mask)
 
-    vectors = np.where(mask[..., None], vectors, 0.0)
+    vectors = _where_valid(mask, vectors)
     # The unchecked constructor below relies on this scan: sampling a
     # near-limit sum can still overflow.
     if not np.isfinite(vectors).all():

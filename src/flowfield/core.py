@@ -125,6 +125,27 @@ def _points(points) -> np.ndarray:
     return pts
 
 
+def _cells(data: np.ndarray) -> np.ndarray:
+    """View (..., C) data as (...) items of C values each; contiguous input is not copied.
+
+    A select or gather over the view moves whole cells, where one over the
+    data would loop over the short channel axis for every cell.
+    """
+    data = np.ascontiguousarray(data)
+    return data.view(np.dtype((np.void, data.itemsize * data.shape[-1])))[..., 0]
+
+
+def _where_valid(mask: np.ndarray, data) -> np.ndarray:
+    """Fresh copy of (..., C) `data` whose cells under false `mask` bits are zero bytes.
+
+    For floats that is +0.0 in every channel; kept cells keep their bits.
+    Data shaped like the mask is one channel per cell.
+    """
+    data = np.asarray(data)
+    cells = _cells(data[..., None] if data.shape == mask.shape else data)
+    return np.where(mask, cells, np.zeros((), cells.dtype)).view(data.dtype).reshape(data.shape)
+
+
 class AffineTransform:
     """A 3x3 homogeneous matrix acting on column vectors (x, y, 1).
 
@@ -316,7 +337,7 @@ class FlowField:
         """
         if self._mask.all():
             return self._vectors
-        return np.where(self._mask[..., None], self._vectors, 0.0)
+        return _where_valid(self._mask, self._vectors)
 
     def __repr__(self) -> str:
         h, w = self.shape

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference
+from .core import FlowError, FlowField, Reference, _where_valid
 
 __all__ = [
     "FLO_MAGIC",
@@ -102,8 +102,7 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
     data = np.frombuffer(payload, "<f4", h * w * 2).reshape(h, w, 2)
     # The sentinel is exact in float32, so the payload is compared as read.
     mask = (data[..., 0] != INVALID_SENTINEL) | (data[..., 1] != INVALID_SENTINEL)
-    vectors = np.zeros((h, w, 2))  # float64, zero on invalid cells
-    np.copyto(vectors, data, where=mask[..., None])
+    vectors = _where_valid(mask, data).astype(np.float64)  # zero on invalid cells
     if not np.isfinite(vectors).all():
         raise FlowError(f"non-finite vector components in a valid cell of {path}")
     return FlowField._trusted(vectors, Reference.parse(reference), mask)

@@ -15,7 +15,11 @@ Both kernels are sequential and always deterministic, so a fixed seed pins
 regardless of input dtype, since division by small weight sums is the
 dominant error source. The masked sample and the splat walk their points
 in fixed-size blocks, in order, so that each block's temporaries stay in
-cache; no output bit depends on the block size.
+cache; no output bit depends on the block size. Blends loop over the few
+channels, scaling one strided column per channel, and masked selects copy
+whole cells (`core._where_valid`), so no per-point weight or mask bit is
+broadcast over a channel axis only 2 or 3 long; the products and sums are
+those of the broadcast form, bit for bit.
 
 The splat sums into one accumulator with a row for the weight and one per
 channel, over the grid plus a border (one cell before, two after) wide
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, _points
+from .core import FlowError, _points, _where_valid
 
 __all__ = [
     "MASK_SAMPLE_THRESHOLD",
@@ -117,14 +121,29 @@ def _corners(pts: np.ndarray, h: int, w: int):
     return index, (w00, w01, w10, w11), in_bounds
 
 
+def _scaled(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """(N, C) rows times an (N,) weight, in place one channel column at a time.
+
+    (N,) rows, bool ones included, are multiplied into a new float array.
+    Either way each product is that of broadcasting the weight over C.
+    """
+    if rows.ndim == 1:
+        return rows * weight
+    for column in rows.T:
+        np.multiply(column, weight, out=column)
+    return rows
+
+
 def _blend(rows: np.ndarray, index, weight) -> np.ndarray:
-    """(N, C) bilinear blend of (H*W, C) grid rows over a `_corners` stencil."""
-    return (
-        np.take(rows, index[0], axis=0) * weight[0][:, None]
-        + np.take(rows, index[1], axis=0) * weight[1][:, None]
-        + np.take(rows, index[2], axis=0) * weight[2][:, None]
-        + np.take(rows, index[3], axis=0) * weight[3][:, None]
-    )
+    """Bilinear blend of (H*W,) or (H*W, C) grid rows over a `_corners` stencil.
+
+    The corners are summed in order, ((0 + 1) + 2) + 3. A bool cell blends
+    as 1.0 or 0.0 times each weight.
+    """
+    total = _scaled(np.take(rows, index[0], axis=0), weight[0])
+    for idx, w in zip(index[1:], weight[1:]):
+        total += _scaled(np.take(rows, idx, axis=0), w)
+    return total
 
 
 def bilinear_sample(grid, points):
@@ -172,30 +191,25 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     if valid_cells.shape != arr.shape[:2]:
         raise FlowError(f"mask shape {valid_cells.shape} does not match data {arr.shape[:2]}")
     all_valid = bool(valid_cells.all())
-    if all_valid:
-        clean = arr
-    else:
-        clean = np.where(valid_cells if arr.ndim == 2 else valid_cells[..., None], arr, 0.0)
+    clean = arr if all_valid else _where_valid(valid_cells, arr)
     if not np.isfinite(clean).all():
         raise FlowError("data must be finite on valid cells")
     rows, h, w, squeeze = _grid_rows(clean)
     pts = _points(points)
-    # A bool cell blends as 1.0 or 0.0 times each weight, with no float copy.
-    cell_weight = None if all_valid else valid_cells.reshape(h * w, 1)
+    cells = None if all_valid else valid_cells.reshape(h * w)
     values = np.empty((len(pts), rows.shape[1]))
     valid = np.empty(len(pts), dtype=bool)
     for start in range(0, len(pts), _BLOCK):
         block = slice(start, start + _BLOCK)
         index, weight, ok = _corners(pts[block], h, w)
         part = _blend(rows, index, weight)
-        if cell_weight is not None:
-            coverage = _blend(cell_weight, index, weight)[:, 0]
+        if cells is not None:
+            coverage = _blend(cells, index, weight)
             ok &= coverage >= MASK_SAMPLE_THRESHOLD
             scale = np.ones_like(coverage)
             np.divide(1.0, coverage, out=scale, where=ok)
-            part *= scale[:, None]
-        part[~ok] = 0.0
-        values[block] = part
+            _scaled(part, scale)
+        values[block] = _where_valid(ok, part)
         valid[block] = ok
     if squeeze:
         values = values[:, 0]

@@ -24,7 +24,9 @@ from .core import (
     FlowError,
     FlowField,
     Reference,
+    _cells,
     _points,
+    _where_valid,
     grid_coordinates,
 )
 from .interp import (
@@ -61,12 +63,14 @@ def _push(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
 
     Returns the result on the other frame's grid and its coverage mask.
     """
-    cells = (field.mask & data_mask).ravel()
+    kept = (field.mask & data_mask).ravel()
     ends = _far_ends(field).reshape(-1, 2)
-    values = data.reshape(cells.size, -1)
-    if not cells.all():
-        ends = np.compress(cells, ends, axis=0)
-        values = np.compress(cells, values, axis=0)
+    values = data.reshape(kept.size, -1)
+    if not kept.all():
+        ends, values = (
+            np.compress(kept, _cells(rows)).view(rows.dtype).reshape(-1, rows.shape[1])
+            for rows in (ends, values)
+        )
     return grid_from_unstructured_data(ends, values, field.shape)
 
 
@@ -78,7 +82,8 @@ def _pull(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
     """
     values, valid = masked_bilinear_sample(data, data_mask, _far_ends(field).reshape(-1, 2))
     # The sample zeroes what it marks invalid; only the field's own holes remain.
-    values[~field.mask.ravel()] = 0.0
+    if not field.mask.all():
+        values = _where_valid(field.mask.ravel(), values)
     return values.reshape(data.shape), valid.reshape(field.shape) & field.mask
 
 
@@ -280,4 +285,4 @@ def map_vectors(field: FlowField, func) -> FlowField:
     out = np.asarray(func(field.masked_vectors()), dtype=np.float64)
     if out.shape != field.vectors.shape:
         raise FlowError(f"mapped vectors have shape {out.shape}, expected {field.vectors.shape}")
-    return FlowField(np.where(field.mask[..., None], out, 0.0), field.reference, field.mask)
+    return FlowField(_where_valid(field.mask, out), field.reference, field.mask)

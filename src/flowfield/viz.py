@@ -58,8 +58,8 @@ def render_colorwheel(field: FlowField, max_magnitude: float | None = None) -> n
     hue = np.degrees(np.arctan2(-vec[..., 1], vec[..., 0])) % 360.0
     # Clipped before the division, which a tiny max_magnitude could overflow.
     sat = np.minimum(magnitude, max_magnitude) / max_magnitude
-    rgb = _hsv_to_rgb(hue, sat, np.ones_like(sat))
-    rgb[~field.mask] = 0.0
+    # An invalid cell has value 0, which is black whatever its hue and saturation.
+    rgb = _hsv_to_rgb(hue, sat, field.mask.astype(np.float64))
     return np.round(rgb * 255.0).astype(np.uint8)
 
 

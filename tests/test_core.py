@@ -24,6 +24,7 @@ from flowfield import (
     unpad,
     zeros,
 )
+from flowfield.core import _where_valid
 from flowfield.verify import trial_matrices
 
 
@@ -94,6 +95,73 @@ class TestFlowField:
     def test_bad_vector_shapes_rejected(self, shape):
         with pytest.raises(FlowError):
             FlowField(np.zeros(shape), "s")
+
+
+# Bit patterns a select must carry through untouched: -0.0, a quiet NaN with
+# a payload, a signalling NaN, -inf, the smallest subnormal and the largest float.
+_ODD_BITS = np.array(
+    [0x8000000000000000, 0x7FF8000000001234, 0x7FF0000000000001,
+     0xFFF0000000000000, 0x0000000000000001, 0x7FEFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+class TestWhereValid:
+    """`core._where_valid` keeps the bits of kept cells and zeroes dropped ones as +0.0."""
+
+    @staticmethod
+    def _data(rng, shape):
+        data = rng.normal(size=shape)
+        data.ravel()[: _ODD_BITS.size * 3 : 3] = _ODD_BITS
+        return rng.permuted(data.ravel()).reshape(shape)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("cells", [(37,), (5, 8)])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_keeps_and_zeroes_whole_cells(self, channels, cells, layout):
+        rng = np.random.default_rng(channels * 10 + len(cells))
+        shape = (*cells, channels)
+        if layout == "strided":
+            # Every other cell and channel of a larger array.
+            every_other = (slice(None, None, 2),) * len(shape)
+            data = self._data(rng, tuple(2 * n for n in shape))[every_other]
+        elif layout == "fortran":
+            data = np.asfortranarray(self._data(rng, shape))
+        else:
+            data = self._data(rng, shape)
+        assert data.shape == shape
+        before = data.copy()
+        mask = rng.uniform(size=cells) < 0.5
+        mask.ravel()[:2] = (True, False)
+        out = _where_valid(mask, data)
+        assert out.shape == shape and out.dtype == np.float64
+        assert not np.shares_memory(out, data)
+        assert np.ascontiguousarray(data).tobytes() == before.tobytes()  # input untouched
+        bits = out.view(np.uint64)
+        assert np.array_equal(bits[mask], data.copy().view(np.uint64)[mask])
+        assert not bits[~mask].any()  # +0.0: no sign bit, no payload
+
+    def test_data_shaped_like_the_mask_is_one_channel(self):
+        data = np.resize(_ODD_BITS, (4, 6))
+        mask = np.arange(24).reshape(4, 6) % 3 == 0
+        out = _where_valid(mask, data)
+        assert out.shape == (4, 6)
+        assert np.array_equal(out.view(np.uint64), np.where(mask, data.view(np.uint64), 0))
+
+    def test_float32_cells(self):
+        data = np.arange(12, dtype=np.float32).reshape(3, 2, 2) - 20.0
+        mask = np.array([[True, False], [False, True], [True, True]])
+        out = _where_valid(mask, data)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.where(mask[..., None], data, np.float32(0.0)))
+        assert not np.signbit(out[~mask]).any()
+
+    @pytest.mark.parametrize("cells, keep", [(3, True), (3, False), (0, True)])
+    def test_uniform_and_empty_masks(self, cells, keep):
+        data = np.full((cells, 2), -0.0)
+        out = _where_valid(np.full(cells, keep), data)
+        assert out.shape == data.shape
+        assert np.array_equal(np.signbit(out), np.full(data.shape, keep))
 
 
 # Every function that takes padding, called on a 4x5 grid.

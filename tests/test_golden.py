@@ -66,6 +66,9 @@ def test_demo_synthetic_flo_bytes(tmp_path, capsys):
 WARP_SHA256 = "f02536c33e2d2fd8b7c373ee8c97af5051a5a3e652b2aadd79cb3008604dc1e3"
 
 WARP_SHAPES = [(1, 1), (1, 9), (7, 1), (30, 41)]
+# Grids that span several kernel blocks (`interp._BLOCK` points each), so
+# the order in which blocks are walked and summed shows in the bytes.
+MULTIBLOCK_SHAPES = [(97, 131), (150, 250)]
 WARP_VALID_SHARES = [0.0, 0.8, 1.0]
 JUNK = np.array([np.nan, np.inf, -np.inf, 1e308])
 
@@ -77,10 +80,10 @@ def _with_junk(values, mask):
     return np.where(keep, values, junk)
 
 
-def _warp_outputs():
+def _warp_outputs(shapes=WARP_SHAPES, seed=1010):
     """(label, output) for each warp on each seeded grid and valid share."""
-    rng = np.random.default_rng(1010)
-    for shape, share in itertools.product(WARP_SHAPES, WARP_VALID_SHARES):
+    rng = np.random.default_rng(seed)
+    for shape, share in itertools.product(shapes, WARP_VALID_SHARES):
         vectors = [rng.uniform(-2.5, 2.5, size=(*shape, 2)) for _ in range(2)]
         masks = [rng.uniform(size=shape) < share for _ in range(2)]
         data = rng.normal(size=(*shape, 3))
@@ -125,9 +128,22 @@ def _digest_update(digest, out):
         digest.update(str(out).encode())
 
 
-def test_warp_outputs_sha256():
+def _warp_digest(outputs) -> str:
     digest = hashlib.sha256()
-    for label, out in _warp_outputs():
+    for label, out in outputs:
         digest.update(label.encode())
         _digest_update(digest, out)
-    assert digest.hexdigest() == WARP_SHA256
+    return digest.hexdigest()
+
+
+def test_warp_outputs_sha256():
+    assert _warp_digest(_warp_outputs()) == WARP_SHA256
+
+
+# sha256 over the same warps on `MULTIBLOCK_SHAPES`, recorded before the
+# kernels looped over channels instead of broadcasting over them.
+MULTIBLOCK_WARP_SHA256 = "c63e9dd8c9e8834ed64f247921876b98f9c48aa77eb39b9757a307e5e3033a75"
+
+
+def test_multiblock_warp_outputs_sha256():
+    assert _warp_digest(_warp_outputs(MULTIBLOCK_SHAPES, seed=1414)) == MULTIBLOCK_WARP_SHA256

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfield import FlowError, bilinear_sample, grid_from_unstructured_data
-from flowfield.interp import _BLOCK, WEIGHT_THRESHOLD, masked_bilinear_sample
+from flowfield.core import _points
+from flowfield.interp import _BLOCK, WEIGHT_THRESHOLD, _blend, _corners, masked_bilinear_sample
 
 from conftest import splat_bruteforce
 
@@ -190,6 +191,42 @@ class TestMaskedSampleFused:
         assert got.tobytes() == want.tobytes()
 
 
+def blend_broadcast(rows, index, weight):
+    """`interp._blend` as one broadcast expression over the channel axis.
+
+    Kept as the bit-for-bit oracle of the per-channel loop that replaced it.
+    """
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    return (
+        np.take(rows, index[0], axis=0) * weight[0][:, None]
+        + np.take(rows, index[1], axis=0) * weight[1][:, None]
+        + np.take(rows, index[2], axis=0) * weight[2][:, None]
+        + np.take(rows, index[3], axis=0) * weight[3][:, None]
+    )
+
+
+class TestBlendPerChannel:
+    @pytest.mark.parametrize("channels", [None, 1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_broadcast(self, channels, seed):
+        rng = np.random.default_rng(seed)
+        h, w = 13, 17
+        if channels is None:
+            rows = rng.uniform(size=h * w) < 0.6  # a bool mask, as the coverage blends it
+        else:
+            rows = rng.normal(size=(h * w, channels)) * rng.choice([1e-300, 1.0, 1e300], (h * w, 1))
+            rows[rng.uniform(size=rows.shape) < 0.2] = -0.0
+        points = rng.uniform(-1.0, (w, h), size=(2000, 2))
+        points[:200] = rng.integers((0, 0), (w, h), size=(200, 2))  # on the lattice
+        index, weight, _ = _corners(_points(points), h, w)
+        got = _blend(rows, index, weight)
+        want = blend_broadcast(rows, index, weight)
+        if channels is None:
+            want = want[:, 0]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSignOfZero:
     """The blend works channel by channel on real weights, so -0.0 stays -0.0.
 
@@ -218,6 +255,27 @@ class TestSignOfZero:
         assert values.shape == (50, channels)
         assert np.signbit(values).all()
         assert np.array_equal(values[:, 0], np.full(50, -0.0))
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_negative_zero_survives_across_blocks(self, channels):
+        # A partial mask, so every block rescales its values, and points on
+        # both sides of the mask so every block also zeroes some rows.
+        cell = np.array([-0.0, -1.5, -0.0])[:channels]
+        data = np.tile(cell, (4, 5, 1))
+        mask = np.ones((4, 5), bool)
+        mask[:, 3:] = False
+        data[~mask] = np.nan
+        n = 3 * _BLOCK + 7
+        rng = np.random.default_rng(channels)
+        points = rng.uniform((0.0, 0.0), (1.999, 3.0), size=(n, 2))
+        points[1::4] = rng.uniform((3.0, 0.0), (4.0, 3.0), size=(len(points[1::4]), 2))
+        values, valid = masked_bilinear_sample(data, mask, points)
+        kept = points[:, 0] < 2.0
+        assert np.array_equal(valid, kept)
+        assert np.signbit(values[kept]).all()
+        assert np.array_equal(values[kept, 0], np.full(np.count_nonzero(kept), -0.0))
+        assert not np.signbit(values[~kept]).any()
+        assert not values[~kept].any()
 
 
 class TestSplat:
