@@ -121,12 +121,12 @@ def combine(
     if _anchor_time(f_bc, bc_span) == c:
         f_bc = switch_reference(f_bc)  # now anchored at B
 
-    bc_vectors = f_bc.masked_vectors()
-    bc_mask = f_bc.mask
     anchored_at_a = _anchor_time(f_ab, ab_span) == a
     if anchored_at_a:
         # f_ab's far ends are A's cells seen in B: pull the B-anchored operand there.
-        bc_vectors, bc_mask = _pull(f_ab, bc_vectors, bc_mask)
+        bc_vectors, bc_mask = _pull(f_ab, f_bc.vectors, f_bc.mask)
+    else:
+        bc_vectors, bc_mask = f_bc.masked_vectors(), f_bc.mask
 
     # Finite operands near the float64 limit can overflow when added; that
     # is reported here, before a warp would blame the data for it.

@@ -78,13 +78,13 @@ def _pull(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
     """Sample the (H, W, C) `data` at each cell's far end; returns values and mask.
 
     Cells where the sample (see `masked_bilinear_sample`) or the field is
-    invalid come back zero and mask-false.
+    invalid come back zero and mask-false: the field's invalid cells are
+    sampled off the grid, so the sampler's own zeroing covers them.
     """
-    values, valid = masked_bilinear_sample(data, data_mask, _far_ends(field).reshape(-1, 2))
-    # The sample zeroes what it marks invalid; only the field's own holes remain.
-    if not field.mask.all():
-        values = _where_valid(field.mask.ravel(), values)
-    return values.reshape(data.shape), valid.reshape(field.shape) & field.mask
+    ends = _far_ends(field)
+    ends[~field.mask] = -1.0
+    values, valid = masked_bilinear_sample(data, data_mask, ends.reshape(-1, 2))
+    return values.reshape(data.shape), valid.reshape(field.shape)
 
 
 def apply(field: FlowField, data, data_mask=None):

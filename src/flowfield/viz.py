@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference, _integer, grid_coordinates
+from .core import FlowError, FlowField, Reference, _integer
 from .ops import _far_ends
 
 __all__ = ["render_arrows", "render_colorwheel"]
@@ -20,20 +20,24 @@ ARROW_COLOR = (0, 176, 0)
 ORIGIN_DOT_COLOR = (220, 0, 0)
 
 
-def _hsv_to_rgb(hue_deg: np.ndarray, sat: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """Vectorized HSV (hue in degrees) to float RGB in [0, 1]."""
-    h = (hue_deg % 360.0) / 60.0
-    i = np.floor(h).astype(int) % 6
-    f = h - np.floor(h)
-    p = val * (1.0 - sat)
-    q = val * (1.0 - f * sat)
-    t = val * (1.0 - (1.0 - f) * sat)
-    channels = [
-        np.choose(i, [val, q, p, p, t, val]),
-        np.choose(i, [t, val, val, q, p, p]),
-        np.choose(i, [p, p, t, val, val, q]),
-    ]
-    return np.stack(channels, axis=-1)
+def _wheel_rgb(hue_deg: np.ndarray, sat: np.ndarray) -> np.ndarray:
+    """(..., 3) float RGB of the value-1 HSV wheel; hue in degrees in [0, 360].
+
+    Channel c is 1 - sat * w, where over the six 60-degree hue sectors w
+    runs (0, f, 1, 1, 1 - f, 0), f being the hue's fraction through its
+    sector, from sector 0 for red, 4 for green and 2 for blue. A hue of
+    exactly 360 is sector 6 with f = 0, which wraps to sector 0.
+    """
+    h = hue_deg / 60.0
+    sector = np.floor(h)
+    f = h - sector
+    sector = sector.astype(int)
+    weights = [0.0, f, 1.0, 1.0, 1.0 - f, 0.0]
+    rgb = np.empty((*h.shape, 3))
+    for c, first in enumerate((0, 4, 2)):
+        rgb[..., c] = np.choose(sector, weights[first:] + weights[:first], mode="wrap")
+    rgb *= sat[..., None]
+    return np.subtract(1.0, rgb, out=rgb)
 
 
 def render_colorwheel(field: FlowField, max_magnitude: float | None = None) -> np.ndarray:
@@ -58,9 +62,9 @@ def render_colorwheel(field: FlowField, max_magnitude: float | None = None) -> n
     hue = np.degrees(np.arctan2(-vec[..., 1], vec[..., 0])) % 360.0
     # Clipped before the division, which a tiny max_magnitude could overflow.
     sat = np.minimum(magnitude, max_magnitude) / max_magnitude
-    # An invalid cell has value 0, which is black whatever its hue and saturation.
-    rgb = _hsv_to_rgb(hue, sat, field.mask.astype(np.float64))
-    return np.round(rgb * 255.0).astype(np.uint8)
+    image = np.round(_wheel_rgb(hue, sat) * 255.0).astype(np.uint8)
+    image[~field.mask] = 0
+    return image
 
 
 def _draw_line(image: np.ndarray, x0: int, y0: int, x1: int, y1: int, color) -> None:
@@ -68,11 +72,12 @@ def _draw_line(image: np.ndarray, x0: int, y0: int, x1: int, y1: int, color) -> 
 
     Step n of the walk from (x0, y0) sits at offset
     (2 * d * n + steps) // (2 * steps) along an axis the segment spans by
-    d, where steps is the larger span. Both offsets grow with n, so the
-    in-image steps form one run; its ends are found by clipping the step
-    index against the four image edges (Liang-Barsky in integers), and the
-    walk covers that run alone. Its cost is bounded by the image, not by
-    the segment length.
+    d, where steps is the larger span; that is the pixel the error-term
+    walk reaches, ties included. Both offsets grow with n, so the in-image
+    steps form one run; its ends are found by clipping the step index
+    against the four image edges (Liang-Barsky in integers), and only that
+    run is written. Its cost is bounded by the image, not by the segment
+    length, and Python ints keep every offset exact at any length.
     """
     h, w = image.shape[:2]
     dx, dy = abs(x1 - x0), abs(y1 - y0)
@@ -92,47 +97,30 @@ def _draw_line(image: np.ndarray, x0: int, y0: int, x1: int, y1: int, color) -> 
                 continue
             first = max(first, -((steps * (1 - 2 * lo)) // (2 * span)))
             last = min(last, (steps * (2 * hi + 1) - 1) // (2 * span))
-        if first > last:
-            return
-    x, y, err = x0, y0, dx - dy
-    if first:
-        # Jump to step `first`: kx unit steps in x and ky in y so far.
-        kx = (2 * dx * first + steps) // (2 * steps)
-        ky = (2 * dy * first + steps) // (2 * steps)
-        x, y = x0 + sx * kx, y0 + sy * ky
-        err += ky * dx - kx * dy
-    for _ in range(last - first + 1):
-        image[y, x] = color
-        e2 = 2 * err
-        if e2 >= -dy:
-            err -= dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
+    twice = 2 * steps or 1  # a zero-length segment is its single pixel
+    for n in range(first, last + 1):
+        x = x0 + sx * ((2 * dx * n + steps) // twice)
+        image[y0 + sy * ((2 * dy * n + steps) // twice), x] = color
 
 
 def render_arrows(field: FlowField, stride: int = 1) -> np.ndarray:
     """Draw flow arrows on a stride-subsampled lattice over a white image.
 
     Source reference draws from each lattice point g to g + F(g); target
-    reference draws from g - F(g) to g. Lattice points with a false mask
-    bit are skipped; each drawn arrow gets a dot marker at its lattice
-    point.
+    reference draws from g - F(g) to g, each far end rounded half to even
+    to a pixel. Lattice points with a false mask bit are skipped; each
+    drawn arrow gets a dot marker at its lattice point, drawn after its
+    line.
     """
     stride = _integer(stride, 1, "stride")
-    h, w = field.shape
-    image = np.full((h, w, 3), 255, dtype=np.uint8)
-
-    grid, ends = grid_coordinates((h, w)), _far_ends(field)
-    start, end = (grid, ends) if field.reference is Reference.SOURCE else (ends, grid)
-
-    for gy in range(stride // 2, h, stride):
-        for gx in range(stride // 2, w, stride):
-            if not field.mask[gy, gx]:
-                continue
-            x0, y0 = int(round(start[gy, gx, 0])), int(round(start[gy, gx, 1]))
-            x1, y1 = int(round(end[gy, gx, 0])), int(round(end[gy, gx, 1]))
-            _draw_line(image, x0, y0, x1, y1, ARROW_COLOR)
-            image[gy, gx] = ORIGIN_DOT_COLOR
+    image = np.full((*field.shape, 3), 255, dtype=np.uint8)
+    lattice = slice(stride // 2, None, stride)
+    cells = np.argwhere(field.mask[lattice, lattice]) * stride + stride // 2
+    ends = np.round(_far_ends(field)[cells[:, 0], cells[:, 1]])
+    source = field.reference is Reference.SOURCE
+    for (gy, gx), (ex, ey) in zip(cells.tolist(), ends.tolist()):
+        cell, far = (gx, gy), (int(ex), int(ey))
+        start, end = (cell, far) if source else (far, cell)
+        _draw_line(image, *start, *end, ARROW_COLOR)
+        image[gy, gx] = ORIGIN_DOT_COLOR
     return image

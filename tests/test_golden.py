@@ -17,6 +17,8 @@ from flowfield import (
     apply,
     combine,
     invert,
+    render_arrows,
+    render_colorwheel,
     switch_reference,
     valid_source,
     valid_target,
@@ -147,3 +149,41 @@ MULTIBLOCK_WARP_SHA256 = "c63e9dd8c9e8834ed64f247921876b98f9c48aa77eb39b9757a307
 
 def test_multiblock_warp_outputs_sha256():
     assert _warp_digest(_warp_outputs(MULTIBLOCK_SHAPES, seed=1414)) == MULTIBLOCK_WARP_SHA256
+
+
+# sha256 over every output of `_render_outputs` below, recorded before the
+# renderers were rewritten from their closed forms.
+RENDER_SHA256 = "19e7738a85103e8a24115845ba8b8052338ce1f11a7e449fc4aa2e9d520ccb27"
+
+RENDER_SHAPES = [(1, 1), (1, 7), (5, 1), (40, 60), (150, 250)]
+RENDER_VALID_SHARES = [1.0, 0.7, 0.0]
+RENDER_MAGNITUDES = [0.0, 1e-300, 1.0, 60.0, 1e18, 1e300]
+
+
+def _render_outputs(seed=1616):
+    """(label, image) for both renderers on seeded flows of every shape, mask and size.
+
+    Cells under false mask bits hold NaN. Each flow of magnitude 1 ends in
+    the vector (1, 1e-300), whose hue reduces to exactly 360 degrees.
+    """
+    rng = np.random.default_rng(seed)
+    for shape, ref, share, magnitude in itertools.product(
+        RENDER_SHAPES, "st", RENDER_VALID_SHARES, RENDER_MAGNITUDES
+    ):
+        vectors = rng.uniform(-1.0, 1.0, size=(*shape, 2)) * magnitude
+        if magnitude == 1.0:
+            vectors[-1, -1] = [1.0, 1e-300]
+        mask = rng.uniform(size=shape) < share
+        vectors[~mask] = np.nan
+        field = FlowField(vectors, ref, mask)
+        label = f"{shape} {ref} {share} {magnitude}"
+        for max_magnitude in (None, 1.0, 37.5):
+            yield f"{label} wheel {max_magnitude}", render_colorwheel(field, max_magnitude)
+        # Python draws arrows pixel by pixel: the largest grid gets the
+        # sparse lattice that `flowfield viz` is run with in perfbench.
+        for stride in (1, 3, 8) if field.mask.size < 10_000 else (8,):
+            yield f"{label} arrows {stride}", render_arrows(field, stride)
+
+
+def test_render_outputs_sha256():
+    assert _warp_digest(_render_outputs()) == RENDER_SHA256

@@ -1,14 +1,16 @@
-"""Property tests: every warp keeps the data-model invariants on hostile input.
+"""Property tests: every op keeps its documented invariants on hostile input.
 
 The inputs are seeded grids of 1x1, 1xW and HxW cells with empty, partial
 or full masks, NaN, ±inf and 1e308 under false mask bits, and finite
 magnitudes up to ±1.7e308 under true ones. Each op either raises
-`FlowError` (and nothing else, warnings included) or returns a result whose
-mask-false cells are +0.0 and whose mask-true cells are finite, in the
-reference the op promises.
+`FlowError` (and nothing else, warnings included) or returns what it
+documents: a warp's mask-false cells are +0.0 and its mask-true cells
+finite, in the reference the op promises; the valid areas, the padding,
+the matrix fit and the renderers have their documented types and shapes.
 """
 
 import itertools
+import time
 import warnings
 
 import numpy as np
@@ -17,15 +19,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowfield import (
+    AffineTransform,
     FlowError,
     FlowField,
     Reference,
     apply,
     combine,
+    fit_matrix,
+    get_padding,
     invert,
+    render_arrows,
+    render_colorwheel,
     switch_reference,
     valid_source,
+    valid_target,
 )
+from flowfield.viz import ARROW_COLOR, ORIGIN_DOT_COLOR
 
 JUNK = np.array([np.nan, np.inf, -np.inf, 1e308])
 # Vector scales from sub-pixel motion up to the float64 limit. The small
@@ -153,3 +162,85 @@ def test_valid_source_keeps_invariants(ref, case):
         assert out.shape == field.shape and out.dtype == bool
         if ref == "s":
             assert not (out & ~field.mask).any()
+
+
+@pytest.mark.parametrize("ref", "st")
+@given(case=hostile)
+@settings(max_examples=50, deadline=None)
+def test_valid_target_keeps_invariants(ref, case):
+    field = Inputs(case, (ref, ref)).flows[0]
+    out = _run(lambda: valid_target(field))
+    if out is not None:
+        assert out.shape == field.shape and out.dtype == bool
+        if ref == "t":
+            assert not (out & ~field.mask).any()
+
+
+@pytest.mark.parametrize("ref", "st")
+@given(case=hostile)
+@settings(max_examples=50, deadline=None)
+def test_get_padding_is_four_python_ints(ref, case):
+    field = Inputs(case, (ref, ref)).flows[0]
+    out = _run(lambda: get_padding(field))
+    if out is not None:
+        assert isinstance(out, tuple) and len(out) == 4
+        assert all(type(side) is int and side >= 0 for side in out)
+        if not field.mask.any():
+            assert out == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("ref", "st")
+@given(case=hostile)
+@settings(max_examples=50, deadline=None)
+def test_fit_matrix_is_finite(ref, case):
+    field = Inputs(case, (ref, ref)).flows[0]
+    out = _run(lambda: fit_matrix(field))
+    if out is not None:
+        transform, rms = out
+        assert isinstance(transform, AffineTransform) and isinstance(rms, float)
+        assert np.isfinite(transform.matrix).all() and np.isfinite(rms) and rms >= 0.0
+
+
+@pytest.mark.parametrize("ref", "st")
+@given(case=hostile, max_magnitude=st.sampled_from([None, 1e-300, 1.0, 60.0, 1.7e308]))
+@settings(max_examples=50, deadline=None)
+def test_colorwheel_keeps_invariants(ref, case, max_magnitude):
+    field = Inputs(case, (ref, ref)).flows[0]
+    out = _run(lambda: render_colorwheel(field, max_magnitude))
+    if out is not None:
+        assert out.shape == (*field.shape, 3) and out.dtype == np.uint8
+        assert not out[~field.mask].any()  # invalid cells are black
+        assert (out[field.mask].max(axis=-1) == 255).all()  # valid cells have full value
+
+
+@pytest.mark.parametrize("ref", "st")
+@given(case=hostile, stride=st.integers(1, 5))
+@settings(max_examples=50, deadline=None)
+def test_arrows_keep_invariants(ref, case, stride):
+    field = Inputs(case, (ref, ref)).flows[0]
+    out = _run(lambda: render_arrows(field, stride))
+    if out is not None:
+        assert out.shape == (*field.shape, 3) and out.dtype == np.uint8
+        colors = {tuple(pixel) for pixel in out.reshape(-1, 3).tolist()}
+        assert colors <= {(255, 255, 255), ARROW_COLOR, ORIGIN_DOT_COLOR}
+        dots = np.argwhere((out == ORIGIN_DOT_COLOR).all(axis=-1))
+        assert all(y % stride == x % stride == stride // 2 for y, x in dots)
+        assert all(field.mask[y, x] for y, x in dots)
+
+
+@pytest.mark.parametrize("ref", "st")
+@given(angle=st.floats(0.0, 2.0 * np.pi), magnitude=st.sampled_from([1e18, 1e300]))
+@settings(max_examples=10, deadline=None)
+def test_huge_arrow_renders_fast(ref, angle, magnitude):
+    # Each arrow is clipped to the image before it is drawn, so a segment
+    # of 1e300 px costs no more than one across the frame.
+    shape = (540, 960)
+    vectors = np.zeros((*shape, 2))
+    vectors[270, 480] = magnitude * np.cos(angle), magnitude * np.sin(angle)
+    mask = np.zeros(shape, dtype=bool)
+    mask[270, 480] = True
+    field = FlowField(vectors, ref, mask)
+    start = time.perf_counter()
+    image = render_arrows(field)
+    assert time.perf_counter() - start < 0.5
+    assert (image == ARROW_COLOR).all(axis=-1).sum() >= min(shape) // 2 - 1

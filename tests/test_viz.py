@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowfield import FlowError, FlowField, map_vectors, render_arrows, render_colorwheel, zeros
-from flowfield.viz import _draw_line
+from flowfield.viz import _draw_line, _wheel_rgb
 
 
 def constant_flow(shape, vx, vy, ref="s", mask=None):
@@ -36,6 +38,72 @@ def draw_line_every_step(image, x0, y0, x1, y1, color):
         if e2 <= dx:
             err += dx
             y += sy
+
+
+def hsv_to_rgb(hue_deg, sat, val):
+    """Vectorized HSV (hue in degrees) to float RGB in [0, 1].
+
+    Kept as the bit-for-bit oracle of `_wheel_rgb`, the value-1 wheel that
+    replaced it: the renderer passed value 1 on valid cells and 0 on
+    invalid ones.
+    """
+    h = (hue_deg % 360.0) / 60.0
+    i = np.floor(h).astype(int) % 6
+    f = h - np.floor(h)
+    p = val * (1.0 - sat)
+    q = val * (1.0 - f * sat)
+    t = val * (1.0 - (1.0 - f) * sat)
+    channels = [
+        np.choose(i, [val, q, p, p, t, val]),
+        np.choose(i, [t, val, val, q, p, p]),
+        np.choose(i, [p, p, t, val, val, q]),
+    ]
+    return np.stack(channels, axis=-1)
+
+
+def colorwheel_via_hsv(field, max_magnitude):
+    """The renderer as it was written on `hsv_to_rgb`, for a finite `max_magnitude`."""
+    vec = field.masked_vectors()
+    hue = np.degrees(np.arctan2(-vec[..., 1], vec[..., 0])) % 360.0
+    sat = np.minimum(np.hypot(vec[..., 0], vec[..., 1]), max_magnitude) / max_magnitude
+    rgb = hsv_to_rgb(hue, sat, field.mask.astype(np.float64))
+    return np.round(rgb * 255.0).astype(np.uint8)
+
+
+# Sector edges, the top of the range and the hue that reduces to 360 itself.
+EDGE_HUES = [0.0, 60.0, 120.0, 180.0, 240.0, 300.0, 360.0, float(np.nextafter(360.0, 0.0))]
+HUES = st.one_of(st.floats(0.0, 360.0), st.sampled_from(EDGE_HUES))
+SATURATIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-300, 1.0]))
+
+
+class TestWheelClosedForm:
+    @given(pairs=st.lists(st.tuples(HUES, SATURATIONS), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_hsv_at_value_one(self, pairs):
+        hue, sat = np.array(pairs).T
+        want = hsv_to_rgb(hue, sat, np.ones_like(hue))
+        assert _wheel_rgb(hue, sat).tobytes() == want.tobytes()
+
+    def test_hue_of_exactly_360_is_sector_zero(self):
+        hue = np.degrees(np.arctan2(-np.array([1e-300]), np.array([1.0]))) % 360.0
+        assert hue[0] == 360.0
+        assert _wheel_rgb(hue, np.ones(1)).tolist() == [[1.0, 0.0, 0.0]]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-300, 1e-5, 1.0, 60.0, 1e18, 1e300]),
+        share=st.sampled_from([0.0, 0.7, 1.0]),
+        max_magnitude=st.sampled_from([1e-300, 0.5, 1.0, 37.5, 1e300]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_renderer_bytes_match_hsv(self, seed, scale, share, max_magnitude):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, 20, size=2))
+        mask = rng.uniform(size=shape) < share
+        vectors = np.where(mask[..., None], rng.normal(size=(*shape, 2)) * scale, np.nan)
+        field = FlowField(vectors, "s", mask)
+        got = render_colorwheel(field, max_magnitude)
+        assert got.tobytes() == colorwheel_via_hsv(field, max_magnitude).tobytes()
 
 
 def hue_saturation(rgb_u8):
