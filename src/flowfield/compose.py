@@ -15,7 +15,12 @@ operand masks and splat coverage.
 The warp from B's grid onto A's comes from f_ab, the known flow between A
 and B. When f_ab sits on A's grid, the B-anchored operand is pulled at its
 far ends, whichever way f_ab runs. When f_ab sits on B's grid, the sum is
-applied along f_ab, inverted first if it runs A to B.
+warped along f_ab, inverted first if it runs A to B.
+
+No grid-sized copy is made for bookkeeping. A switched operand is already
+zero under its false bits, so it is used as it is. The sum is zeroed in
+place, which makes it the clean data that a pull needs. A warp's output is
+zero under its mask, so it is returned as it is.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import enum
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference, _where_valid
-from .ops import _pull, apply, invert, switch_reference
+from .core import FlowError, FlowField, Reference, _fill_cells
+from .ops import _pull, _push, invert, switch_reference
 
 __all__ = ["ComposeMode", "combine"]
 
@@ -119,31 +124,37 @@ def combine(
         sign_ab, sign_bc = -sign_ab, -sign_bc
 
     if _anchor_time(f_bc, bc_span) == c:
-        f_bc = switch_reference(f_bc)  # now anchored at B
+        # Now anchored at B; a warp's output is already zero under its false bits.
+        switched = switch_reference(f_bc)
+        bc_vectors, bc_mask = switched.vectors, switched.mask
+        del switched
+    else:
+        bc_vectors, bc_mask = f_bc.masked_vectors(), f_bc.mask
 
     anchored_at_a = _anchor_time(f_ab, ab_span) == a
     if anchored_at_a:
         # f_ab's far ends are A's cells seen in B: pull the B-anchored operand there.
-        bc_vectors, bc_mask = _pull(f_ab, f_bc.vectors, f_bc.mask)
-    else:
-        bc_vectors, bc_mask = f_bc.masked_vectors(), f_bc.mask
+        bc_vectors, bc_mask = _pull(f_ab, bc_vectors, bc_mask)
 
     # Finite operands near the float64 limit can overflow when added; that
     # is reported here, before a warp would blame the data for it.
     with np.errstate(over="ignore"):
         vectors = sign_ab * f_ab.masked_vectors() + sign_bc * bc_vectors
+    del bc_vectors  # a switched operand's last reference, gone before the warp
     if not np.isfinite(vectors).all():
         raise FlowError("composed flow vectors overflow float64")
     mask = f_ab.mask & bc_mask
+    _fill_cells(vectors, ~mask, 0.0)  # in place: the sum is a fresh array
 
     if not anchored_at_a:
         # The sum still sits on B's grid; carry it onto A's along f_ab. An
         # f_ab running A to B is inverted first: pushing the sum to its far
-        # ends was measured to lose accuracy in modes 1 and 3.
+        # ends was measured to lose accuracy in modes 1 and 3. The warp's
+        # output is zero under its own mask.
         warp = invert(f_ab) if ab_span[0] == a else f_ab
-        vectors, mask = apply(warp, vectors, data_mask=mask)
+        carry = _push if warp.reference is Reference.SOURCE else _pull
+        vectors, mask = carry(warp, vectors, mask)
 
-    vectors = _where_valid(mask, vectors)
     # The unchecked constructor below relies on this scan: sampling a
     # near-limit sum can still overflow.
     if not np.isfinite(vectors).all():

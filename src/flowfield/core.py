@@ -146,6 +146,18 @@ def _where_valid(mask: np.ndarray, data) -> np.ndarray:
     return np.where(mask, cells, np.zeros((), cells.dtype)).view(data.dtype).reshape(data.shape)
 
 
+def _fill_cells(data: np.ndarray, where: np.ndarray, value: float) -> None:
+    """Set each channel of the (..., C) cells of `data` under true `where` bits to `value`.
+
+    Works in place, writing each cell as one item, as `_where_valid` selects
+    cells. `data` must be a writable C-contiguous array; viewing anything
+    else raises.
+    """
+    cell_type = np.dtype((np.void, data.itemsize * data.shape[-1]))
+    cell = np.full(data.shape[-1], value, data.dtype).view(cell_type)[0]
+    data.view(cell_type)[..., 0][where] = cell
+
+
 class AffineTransform:
     """A 3x3 homogeneous matrix acting on column vectors (x, y, 1).
 

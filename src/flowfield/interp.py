@@ -14,12 +14,19 @@ Both kernels are sequential and always deterministic, so a fixed seed pins
 `verify-compose` byte for byte. Accumulation happens in double precision
 regardless of input dtype, since division by small weight sums is the
 dominant error source. The masked sample and the splat walk their points
-in fixed-size blocks, in order, so that each block's temporaries stay in
-cache; no output bit depends on the block size. Blends loop over the few
-channels, scaling one strided column per channel, and masked selects copy
-whole cells (`core._where_valid`), so no per-point weight or mask bit is
-broadcast over a channel axis only 2 or 3 long; the products and sums are
-those of the broadcast form, bit for bit.
+in blocks, in order, so that each block's temporaries stay in cache; no
+output bit depends on the block size. Blends loop over the few channels,
+scaling one strided column per channel, and masked selects copy whole cells
+(`core._where_valid`), so no per-point weight or mask bit is broadcast over
+a channel axis only 2 or 3 long; the products and sums are those of the
+broadcast form, bit for bit.
+
+Each kernel reads its points from a block source, an iterable of
+consecutive (n, 2) arrays. The public functions check their arguments and
+feed slices of their points; the warps in `ops` form each block's far ends
+as it is read, over the row blocks of `_row_blocks`. The private entries
+trust their callers: `_sample` takes rows that are finite and zero on
+invalid cells, and `_splat` takes any value for a sample it drops.
 
 The splat sums into one accumulator with a row for the weight and one per
 channel, over the grid plus a border (one cell before, two after) wide
@@ -171,6 +178,54 @@ def bilinear_sample(grid, points):
     return values, in_bounds
 
 
+def _point_blocks(pts: np.ndarray):
+    """Block source of checked (N, 2) points: consecutive `_BLOCK`-point slices."""
+    return (pts[start : start + _BLOCK] for start in range(0, len(pts), _BLOCK))
+
+
+def _row_blocks(h: int, w: int):
+    """(rows, cols) slices that cut an (H, W) grid into consecutive kernel blocks.
+
+    A block is the most whole rows that fit in `_BLOCK` points; a row longer
+    than that is cut into `_BLOCK`-wide pieces. The blocks follow the cells
+    in C order.
+    """
+    if w > _BLOCK:
+        return (
+            (slice(row, row + 1), slice(col, col + _BLOCK))
+            for row in range(h)
+            for col in range(0, w, _BLOCK)
+        )
+    step = _BLOCK // w
+    return ((slice(row, row + step), slice(None)) for row in range(0, h, step))
+
+
+def _sample(rows: np.ndarray, cells, h: int, w: int, blocks, n: int):
+    """`masked_bilinear_sample` of clean (H*W, C) rows at the n points of a block source.
+
+    The rows must be finite and zero on invalid cells; `cells` is the
+    (H*W,) valid-cell mask, or None when every cell is valid. Returns (n, C)
+    values and (n,) valid flags.
+    """
+    values = np.empty((n, rows.shape[1]))
+    valid = np.empty(n, dtype=bool)
+    start = 0
+    for pts in blocks:
+        block = slice(start, start + len(pts))
+        start = block.stop
+        index, weight, ok = _corners(pts, h, w)
+        part = _blend(rows, index, weight)
+        if cells is not None:
+            coverage = _blend(cells, index, weight)
+            ok &= coverage >= MASK_SAMPLE_THRESHOLD
+            scale = np.ones_like(coverage)
+            np.divide(1.0, coverage, out=scale, where=ok)
+            _scaled(part, scale)
+        values[block] = _where_valid(ok, part)
+        valid[block] = ok
+    return values, valid
+
+
 def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     """Sample partially-valid grid data, ignoring invalid cells.
 
@@ -197,50 +252,46 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     rows, h, w, squeeze = _grid_rows(clean)
     pts = _points(points)
     cells = None if all_valid else valid_cells.reshape(h * w)
-    values = np.empty((len(pts), rows.shape[1]))
-    valid = np.empty(len(pts), dtype=bool)
-    for start in range(0, len(pts), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        index, weight, ok = _corners(pts[block], h, w)
-        part = _blend(rows, index, weight)
-        if cells is not None:
-            coverage = _blend(cells, index, weight)
-            ok &= coverage >= MASK_SAMPLE_THRESHOLD
-            scale = np.ones_like(coverage)
-            np.divide(1.0, coverage, out=scale, where=ok)
-            _scaled(part, scale)
-        values[block] = _where_valid(ok, part)
-        valid[block] = ok
+    values, valid = _sample(rows, cells, h, w, _point_blocks(pts), len(pts))
     if squeeze:
         values = values[:, 0]
     return values, valid
 
 
-def _splat_sums(pts: np.ndarray, vals: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Splat sums of checked (N, 2) points and (N, C) values, shape (1 + C, (H+3)*(W+3)).
+def _splat_sums(blocks, vals: np.ndarray, h: int, w: int, negate: bool) -> np.ndarray:
+    """Splat sums of (N, C) values at a block source's points, shape (1 + C, (H+3)*(W+3)).
 
-    Row 0 holds the weight and row 1 + c the weighted channel c. A kept
-    sample's corners span [-1, W+1] x [-1, H+1]; a border of one cell before
-    and two after holds them all, so no corner needs a test. A dropped
-    sample is sent to the border cell after the last row and column, where
-    none of its corners touches the grid. Only the returned sums outlive
-    the call, so the per-sample arrays are gone before the caller divides.
+    Row 0 holds the weight and row 1 + c the weighted channel c; `negate`
+    sums the negated values by negating each weight, as (-w) * v is
+    w * (-v) bit for bit. A kept sample's corners span [-1, W+1] x [-1, H+1];
+    a border of one cell before and two after holds them all, so no corner
+    needs a test. A dropped sample is sent to the border cell after the
+    last row and column, where none of its corners touches the grid, so
+    its value, whatever it is, never reaches a grid cell. Only the returned
+    sums outlive the call, so the per-sample arrays are gone before the
+    caller divides.
     """
     pw = w + 3
     dropped = (h + 1) * pw + w + 1
-    n = len(pts)
+    n = len(vals)
     fx = np.empty(n)
     fy = np.empty(n)
     base = np.empty(n, dtype=np.intp)
-    acc = np.zeros((1 + vals.shape[1], (h + 3) * pw), dtype=np.float64)
-    part = np.empty_like(acc)
+    # One allocation for both: freeing a block this large raises glibc's
+    # dynamic trim threshold, so on small grids the heap is not given back
+    # and faulted in again on every warp. At 150x250 a verify-compose trial
+    # took 0.8-1.1k page faults this way against 1.7-2.3k with two blocks.
+    acc, part = np.empty((2, 1 + vals.shape[1], (h + 3) * pw))
+    acc.fill(0.0)
     # The base index of a dropped sample far out can overflow before it is
     # replaced. Sums of finite values near the float64 limit can overflow (or
     # meet as inf - inf) across corners; the caller's finite check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            x, y = pts[block, 0], pts[block, 1]
+        start = 0
+        for pts in blocks:
+            block = slice(start, start + len(pts))
+            start = block.stop
+            x, y = pts[:, 0], pts[:, 1]
             keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
             # The floors stay float64, exact for these small integers.
             x0 = np.floor(x)
@@ -264,11 +315,33 @@ def _splat_sums(pts: np.ndarray, vals: np.ndarray, h: int, w: int) -> np.ndarray
                 contrib = wx * wy
                 index = base[block]
                 np.add.at(rows[0, offset:], index, contrib)
+                if negate:
+                    np.negative(contrib, out=contrib)
                 for c in range(vals.shape[1]):
                     np.add.at(rows[1 + c, offset:], index, contrib * vals[block, c])
             if offset:
                 acc += part
     return acc
+
+
+def _splat(blocks, vals: np.ndarray, h: int, w: int, negate: bool = False):
+    """Splat (N, C) values from the points of a block source onto an (H, W) grid.
+
+    Returns the (H, W, C) weighted means and the coverage mask, as
+    `grid_from_unstructured_data` describes; see `_splat_sums` for the
+    block source and `negate`. Raises FlowError when a mean overflows.
+    """
+    n_channels = vals.shape[1]
+    sums = _splat_sums(blocks, vals, h, w, negate).reshape(1 + n_channels, h + 3, w + 3)
+    interior = sums[:, 1 : h + 1, 1 : w + 1]
+    weight = interior[0]
+    mask = weight > WEIGHT_THRESHOLD
+    out = np.zeros((h, w, n_channels), dtype=np.float64)
+    for c in range(n_channels):
+        np.divide(interior[1 + c], weight, out=out[..., c], where=mask)
+    if not np.isfinite(out).all():
+        raise FlowError("splatted values overflow float64")
+    return out, mask
 
 
 def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
@@ -316,17 +389,7 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
         raise FlowError(f"values shape {vals.shape} does not match {pts.shape[0]} positions")
     if not np.isfinite(vals).all():
         raise FlowError("values must be finite")
-    n_channels = vals.shape[1]
-
-    sums = _splat_sums(pts, vals, h, w).reshape(1 + n_channels, h + 3, w + 3)
-    interior = sums[:, 1 : h + 1, 1 : w + 1]
-    weight = interior[0]
-    mask = weight > WEIGHT_THRESHOLD
-    out = np.zeros((h, w, n_channels), dtype=np.float64)
-    for c in range(n_channels):
-        np.divide(interior[1 + c], weight, out=out[..., c], where=mask)
-    if not np.isfinite(out).all():
-        raise FlowError("splatted values overflow float64")
+    out, mask = _splat(_point_blocks(pts), vals, h, w)
     if squeeze:
         out = out[..., 0]
     return out, mask

@@ -7,10 +7,16 @@ cell's position in the other frame, for every op that needs it.
 A source flow pushes: each valid cell's data is splatted to its far end
 (forward warping), which can leave cells uncovered. A target flow pulls:
 each cell samples the data at its far end (backward warping), which has no
-holes but can read out of bounds. `_push` and `_pull` are the only warps
-along a flow. Lost cells come back mask-false and zero, by the fixed
-thresholds `interp.WEIGHT_THRESHOLD` and `interp.OUT_OF_BOUNDS_TOL`. All
-functions are pure; they never mutate their inputs.
+holes but can read out of bounds. Lost cells come back mask-false and
+zero, by the fixed thresholds `interp.WEIGHT_THRESHOLD` and
+`interp.OUT_OF_BOUNDS_TOL`. All functions are pure; they never mutate their
+inputs.
+
+`_push` and `_pull` warp data the library holds (a field's own vectors, a
+warp's output, `combine`'s checked sum) through the kernels' private
+entries. They form far ends block by block and send dropped cells to
+`_OFF_GRID`, so they build no far-end grid and no compressed copy. `apply`
+warps caller data through the public kernels, which check it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .core import (
     FlowError,
     FlowField,
     Reference,
-    _cells,
+    _fill_cells,
     _points,
     _where_valid,
     grid_coordinates,
@@ -33,6 +39,9 @@ from .interp import (
     OUT_OF_BOUNDS_TOL,
     _channels_last,
     _in_bounds,
+    _row_blocks,
+    _sample,
+    _splat,
     grid_from_unstructured_data,
     masked_bilinear_sample,
 )
@@ -50,40 +59,71 @@ __all__ = [
 ]
 
 
-def _far_ends(field: FlowField) -> np.ndarray:
-    """(H, W, 2) far end of each cell's vector; invalid cells keep their own position."""
-    # Formed in place on a fresh grid: one grid-sized array fewer at a warp's peak.
-    ends = grid_coordinates(field.shape)
+# Where cells that a warp drops are sent: beyond the sampler's bounds and the
+# splat's retention band [-1, W] x [-1, H], so both kernels drop them.
+_OFF_GRID = -2.0
+
+
+def _far_ends(field: FlowField, rows=slice(None), cols=slice(None), kept=None) -> np.ndarray:
+    """(rows, cols, 2) far ends x +- v_x, y +- v_y of the cells the slices pick out.
+
+    Invalid cells keep their own position. Given a `kept` mask, whose true
+    bits are valid cells, the cells outside it go to `_OFF_GRID` instead,
+    and whatever their vectors hold never reaches a kernel.
+    """
+    h, w = field.shape
+    vectors = field.vectors[rows, cols]
+    mask = field.mask[rows, cols] if kept is None else kept[rows, cols]
+    partial = not mask.all()
+    if partial and kept is None:
+        vectors = _where_valid(mask, vectors)
     step = np.add if field.reference is Reference.SOURCE else np.subtract
-    return step(ends, field.masked_vectors(), out=ends)
+    ends = np.empty(vectors.shape)
+    with np.errstate(invalid="ignore"):  # a signalling NaN under a false bit
+        step(np.arange(w, dtype=np.float64)[cols], vectors[..., 0], out=ends[..., 0])
+        step(np.arange(h, dtype=np.float64)[rows, None], vectors[..., 1], out=ends[..., 1])
+    if partial and kept is not None:
+        _fill_cells(ends, ~mask, _OFF_GRID)
+    return ends
 
 
-def _push(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
+def _end_blocks(field: FlowField, kept: np.ndarray):
+    """A warp's block source: each kernel block's (N, 2) far ends, formed when it is read."""
+    blocks = _row_blocks(*field.shape)
+    return (_far_ends(field, rows, cols, kept).reshape(-1, 2) for rows, cols in blocks)
+
+
+def _push(field: FlowField, data: np.ndarray, data_mask: np.ndarray, negate: bool = False):
     """Splat the (H, W, C) `data` of cells valid in both masks to their far ends.
 
-    Returns the result on the other frame's grid and its coverage mask.
+    Returns the result, of the negated data if `negate`, on the other
+    frame's grid and its coverage mask. Other cells go off the grid, so
+    whatever they hold is dropped; the data must be finite on kept cells.
     """
-    kept = (field.mask & data_mask).ravel()
-    ends = _far_ends(field).reshape(-1, 2)
-    values = data.reshape(kept.size, -1)
-    if not kept.all():
-        ends, values = (
-            np.compress(kept, _cells(rows)).view(rows.dtype).reshape(-1, rows.shape[1])
-            for rows in (ends, values)
-        )
-    return grid_from_unstructured_data(ends, values, field.shape)
+    h, w = field.shape
+    kept = field.mask & data_mask
+    values = data.reshape(h * w, -1)
+    # A scan of the whole array is cheap; gather the kept cells only when it fails.
+    if not np.isfinite(values).all() and not np.isfinite(values[kept.ravel()]).all():
+        raise FlowError("values must be finite")
+    return _splat(_end_blocks(field, kept), values, h, w, negate)
 
 
 def _pull(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
-    """Sample the (H, W, C) `data` at each cell's far end; returns values and mask.
+    """Sample clean (H, W, C) `data` at each cell's far end; returns values and mask.
 
-    Cells where the sample (see `masked_bilinear_sample`) or the field is
-    invalid come back zero and mask-false: the field's invalid cells are
-    sampled off the grid, so the sampler's own zeroing covers them.
+    The caller guarantees that the data is finite and zero under false
+    `data_mask` bits (a warp's output or a checked and zeroed sum), so the
+    sampler needs no clean copy and no scan. Cells where the sample (see
+    `masked_bilinear_sample`) or the field is invalid come back zero and
+    mask-false: the field's invalid cells are sampled off the grid, so the
+    sampler's own zeroing covers them.
     """
-    ends = _far_ends(field)
-    ends[~field.mask] = -1.0
-    values, valid = masked_bilinear_sample(data, data_mask, ends.reshape(-1, 2))
+    h, w = field.shape
+    cells = None if data_mask.all() else data_mask.reshape(h * w)
+    values, valid = _sample(
+        data.reshape(h * w, -1), cells, h, w, _end_blocks(field, field.mask), h * w
+    )
     return values.reshape(data.shape), valid.reshape(field.shape)
 
 
@@ -116,8 +156,17 @@ def apply(field: FlowField, data, data_mask=None):
     if dmask.shape != (h, w):
         raise FlowError(f"data_mask shape {dmask.shape} does not match flow dims {(h, w)}")
 
-    warp = _push if field.reference is Reference.SOURCE else _pull
-    warped, mask = warp(field, arr, dmask)
+    # Caller data goes through the public kernels, which check it.
+    if field.reference is Reference.SOURCE:
+        kept = field.mask & dmask
+        # Only a non-finite value needs the clean copy; the splat drops the rest.
+        values = arr if np.isfinite(arr).all() else _where_valid(kept, arr)
+        ends = _far_ends(field, kept=kept).reshape(-1, 2)
+        warped, mask = grid_from_unstructured_data(ends, values.reshape(h * w, -1), (h, w))
+    else:
+        ends = _far_ends(field, kept=field.mask).reshape(-1, 2)
+        warped, valid = masked_bilinear_sample(arr, dmask, ends)
+        warped, mask = warped.reshape(arr.shape), valid.reshape(h, w)
     if squeeze:
         warped = warped[..., 0]
     return warped, mask
@@ -167,7 +216,7 @@ def invert(field: FlowField) -> FlowField:
     The negated vectors are pushed onto the grid of the other frame, where
     they describe the reverse motion. Uncovered cells come back mask-false.
     """
-    vectors, mask = _push(field, -field.vectors, field.mask)
+    vectors, mask = _push(field, field.vectors, field.mask, negate=True)
     return FlowField._trusted(vectors, field.reference, mask)
 
 

@@ -115,8 +115,9 @@ def render_arrows(field: FlowField, stride: int = 1) -> np.ndarray:
     stride = _integer(stride, 1, "stride")
     image = np.full((*field.shape, 3), 255, dtype=np.uint8)
     lattice = slice(stride // 2, None, stride)
-    cells = np.argwhere(field.mask[lattice, lattice]) * stride + stride // 2
-    ends = np.round(_far_ends(field)[cells[:, 0], cells[:, 1]])
+    drawn = np.argwhere(field.mask[lattice, lattice])
+    ends = np.round(_far_ends(field, lattice, lattice)[drawn[:, 0], drawn[:, 1]])
+    cells = drawn * stride + stride // 2
     source = field.reference is Reference.SOURCE
     for (gy, gx), (ex, ey) in zip(cells.tolist(), ends.tolist()):
         cell, far = (gx, gy), (int(ex), int(ey))
