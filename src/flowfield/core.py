@@ -194,6 +194,8 @@ class AffineTransform:
         Positive angles rotate counter-clockwise in the mathematical sense;
         with the y-down image convention this appears clockwise on screen.
         """
+        if not math.isfinite(degrees):
+            raise FlowError(f"rotation angle must be finite, got {degrees!r}")
         a = math.radians(degrees)
         cos_a, sin_a = math.cos(a), math.sin(a)
         return cls(
@@ -452,13 +454,14 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     grid, x components multiplied by sx and y components by sy. The mask
     is resampled as floats and thresholded at 0.5.
     """
-    from .interp import masked_bilinear_sample
+    from .interp import _point_blocks, _sample
 
     sy, sx = float(scale[0]), float(scale[1])
     if not (0 < sy < np.inf and 0 < sx < np.inf):
         raise FlowError(f"scale factors must be positive and finite, got {(sy, sx)}")
     h, w = field.shape
-    new_h, new_w = round(h * sy), round(w * sx)
+    # A side too long for a float stays unrounded, for the cell budget to refuse.
+    new_h, new_w = (round(n) if n < np.inf else n for n in (h * sy, w * sx))
     if new_h < 1 or new_w < 1:
         raise FlowError(f"resize to {(new_h, new_w)} would produce an empty grid")
     _check_cells(new_h, new_w)
@@ -471,7 +474,8 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel()])
 
-    sampled, valid = masked_bilinear_sample(field.vectors, field.mask, points)
+    rows = field.masked_vectors().reshape(h * w, 2)
+    sampled, valid = _sample(rows, field.mask, _point_blocks(points), len(points))
     with np.errstate(over="ignore"):
         vectors = sampled.reshape(new_h, new_w, 2) * (sx, sy)
     if not np.isfinite(vectors).all():

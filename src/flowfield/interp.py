@@ -22,11 +22,12 @@ a channel axis only 2 or 3 long; the products and sums are those of the
 broadcast form, bit for bit.
 
 Each kernel reads its points from a block source, an iterable of
-consecutive (n, 2) arrays. The public functions check their arguments and
-feed slices of their points; the warps in `ops` form each block's far ends
-as it is read, over the row blocks of `_row_blocks`. The private entries
-trust their callers: `_sample` takes rows that are finite and zero on
-invalid cells, and `_splat` takes any value for a sample it drops.
+consecutive (n, 2) arrays. Caller data goes through the public functions,
+which check it and feed slices of its points. Everything the library holds
+goes through the private entries, with no copy and no scan: `_sample` takes
+rows that are finite and zero on invalid cells, and `_splat` takes any
+value for a sample it drops. The warps in `ops` form far ends per row
+block of `_row_blocks`, with the cells they drop at `_OFF_GRID`.
 
 The splat sums into one accumulator with a row for the weight and one per
 channel, over the grid plus a border (one cell before, two after) wide
@@ -63,6 +64,10 @@ OUT_OF_BOUNDS_TOL = 1e-9
 
 # Sampled boolean data counts as set when the valid blend weight reaches 1/2.
 MASK_SAMPLE_THRESHOLD = 0.5
+
+# Where warps send the cells they drop: beyond the sampler's bounds and the
+# splat's retention band [-1, W] x [-1, H], so both kernels drop them.
+_OFF_GRID = -2.0
 
 # Points per block of both kernels, so that each block's temporaries stay in
 # cache. No output bit depends on it.
@@ -200,13 +205,14 @@ def _row_blocks(h: int, w: int):
     return ((slice(row, row + step), slice(None)) for row in range(0, h, step))
 
 
-def _sample(rows: np.ndarray, cells, h: int, w: int, blocks, n: int):
+def _sample(rows: np.ndarray, mask: np.ndarray, blocks, n: int):
     """`masked_bilinear_sample` of clean (H*W, C) rows at the n points of a block source.
 
-    The rows must be finite and zero on invalid cells; `cells` is the
-    (H*W,) valid-cell mask, or None when every cell is valid. Returns (n, C)
-    values and (n,) valid flags.
+    The rows must be finite and zero where the (H, W) `mask` is false.
+    Returns (n, C) values and (n,) valid flags.
     """
+    h, w = mask.shape
+    cells = None if mask.all() else mask.reshape(h * w)
     values = np.empty((n, rows.shape[1]))
     valid = np.empty(n, dtype=bool)
     start = 0
@@ -245,14 +251,12 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     valid_cells = np.asarray(mask).astype(bool)
     if valid_cells.shape != arr.shape[:2]:
         raise FlowError(f"mask shape {valid_cells.shape} does not match data {arr.shape[:2]}")
-    all_valid = bool(valid_cells.all())
-    clean = arr if all_valid else _where_valid(valid_cells, arr)
+    clean = arr if valid_cells.all() else _where_valid(valid_cells, arr)
     if not np.isfinite(clean).all():
         raise FlowError("data must be finite on valid cells")
-    rows, h, w, squeeze = _grid_rows(clean)
+    rows, _, _, squeeze = _grid_rows(clean)
     pts = _points(points)
-    cells = None if all_valid else valid_cells.reshape(h * w)
-    values, valid = _sample(rows, cells, h, w, _point_blocks(pts), len(pts))
+    values, valid = _sample(rows, valid_cells, _point_blocks(pts), len(pts))
     if squeeze:
         values = values[:, 0]
     return values, valid

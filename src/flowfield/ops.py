@@ -12,11 +12,12 @@ zero, by the fixed thresholds `interp.WEIGHT_THRESHOLD` and
 `interp.OUT_OF_BOUNDS_TOL`. All functions are pure; they never mutate their
 inputs.
 
-`_push` and `_pull` warp data the library holds (a field's own vectors, a
-warp's output, `combine`'s checked sum) through the kernels' private
-entries. They form far ends block by block and send dropped cells to
-`_OFF_GRID`, so they build no far-end grid and no compressed copy. `apply`
-warps caller data through the public kernels, which check it.
+`_far_ends` has one rule: cells outside the kept ones, the field's valid
+cells by default, go to `interp._OFF_GRID`, where both kernels drop them.
+Only `apply` takes caller data, through the public kernels, which check it.
+Everything the library holds goes through `interp._sample` and
+`interp._splat`, with no copy and no scan; `_push` and `_pull` feed them
+far ends formed block by block.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ from .core import (
     grid_coordinates,
 )
 from .interp import (
+    _OFF_GRID,
     OUT_OF_BOUNDS_TOL,
     _channels_last,
     _in_bounds,
+    _point_blocks,
     _row_blocks,
     _sample,
     _splat,
@@ -59,35 +62,26 @@ __all__ = [
 ]
 
 
-# Where cells that a warp drops are sent: beyond the sampler's bounds and the
-# splat's retention band [-1, W] x [-1, H], so both kernels drop them.
-_OFF_GRID = -2.0
-
-
 def _far_ends(field: FlowField, rows=slice(None), cols=slice(None), kept=None) -> np.ndarray:
     """(rows, cols, 2) far ends x +- v_x, y +- v_y of the cells the slices pick out.
 
-    Invalid cells keep their own position. Given a `kept` mask, whose true
-    bits are valid cells, the cells outside it go to `_OFF_GRID` instead,
+    Cells outside `kept`, the field's mask by default, go to `_OFF_GRID`,
     and whatever their vectors hold never reaches a kernel.
     """
     h, w = field.shape
     vectors = field.vectors[rows, cols]
-    mask = field.mask[rows, cols] if kept is None else kept[rows, cols]
-    partial = not mask.all()
-    if partial and kept is None:
-        vectors = _where_valid(mask, vectors)
+    mask = (field.mask if kept is None else kept)[rows, cols]
     step = np.add if field.reference is Reference.SOURCE else np.subtract
     ends = np.empty(vectors.shape)
     with np.errstate(invalid="ignore"):  # a signalling NaN under a false bit
         step(np.arange(w, dtype=np.float64)[cols], vectors[..., 0], out=ends[..., 0])
         step(np.arange(h, dtype=np.float64)[rows, None], vectors[..., 1], out=ends[..., 1])
-    if partial and kept is not None:
+    if not mask.all():
         _fill_cells(ends, ~mask, _OFF_GRID)
     return ends
 
 
-def _end_blocks(field: FlowField, kept: np.ndarray):
+def _end_blocks(field: FlowField, kept=None):
     """A warp's block source: each kernel block's (N, 2) far ends, formed when it is read."""
     blocks = _row_blocks(*field.shape)
     return (_far_ends(field, rows, cols, kept).reshape(-1, 2) for rows, cols in blocks)
@@ -120,10 +114,7 @@ def _pull(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
     sampler's own zeroing covers them.
     """
     h, w = field.shape
-    cells = None if data_mask.all() else data_mask.reshape(h * w)
-    values, valid = _sample(
-        data.reshape(h * w, -1), cells, h, w, _end_blocks(field, field.mask), h * w
-    )
+    values, valid = _sample(data.reshape(h * w, -1), data_mask, _end_blocks(field), h * w)
     return values.reshape(data.shape), valid.reshape(field.shape)
 
 
@@ -164,7 +155,7 @@ def apply(field: FlowField, data, data_mask=None):
         ends = _far_ends(field, kept=kept).reshape(-1, 2)
         warped, mask = grid_from_unstructured_data(ends, values.reshape(h * w, -1), (h, w))
     else:
-        ends = _far_ends(field, kept=field.mask).reshape(-1, 2)
+        ends = _far_ends(field).reshape(-1, 2)
         warped, valid = masked_bilinear_sample(arr, dmask, ends)
         warped, mask = warped.reshape(arr.shape), valid.reshape(h, w)
     if squeeze:
@@ -194,9 +185,13 @@ def track(field: FlowField, points) -> tuple[np.ndarray, np.ndarray]:
         region.
     """
     pts = _points(points)
+    # A switched field is already zero under its false bits.
     if field.reference is Reference.TARGET:
         field = switch_reference(field)
-    sampled, valid = masked_bilinear_sample(field.vectors, field.mask, pts)
+        vectors = field.vectors
+    else:
+        vectors = field.masked_vectors()
+    sampled, valid = _sample(vectors.reshape(-1, 2), field.mask, _point_blocks(pts), len(pts))
     return pts + sampled, valid
 
 
@@ -223,19 +218,18 @@ def invert(field: FlowField) -> FlowField:
 def _lands_in_grid(field: FlowField) -> np.ndarray:
     """Valid cells whose far end lies on the grid, within `OUT_OF_BOUNDS_TOL`."""
     ends = _far_ends(field)
-    return _in_bounds(ends[..., 0], ends[..., 1], *field.shape) & field.mask
+    return _in_bounds(ends[..., 0], ends[..., 1], *field.shape)
 
 
 def valid_target(field: FlowField) -> np.ndarray:
     """Mask of the grid cells that receive data when the flow is applied.
 
     Target-reference flows use the exact in-bounds test of each cell's
-    far end; source-reference flows warp an all-ones matrix.
+    far end; source-reference flows splat ones.
     """
     if field.reference is Reference.TARGET:
         return _lands_in_grid(field)
-    _, mask = apply(field, np.ones(field.shape))
-    return mask
+    return _push(field, np.ones(field.shape), field.mask)[1]
 
 
 def valid_source(field: FlowField) -> np.ndarray:
@@ -259,17 +253,17 @@ def get_padding(field: FlowField) -> tuple[int, int, int, int]:
     All-invalid flows need no padding.
     """
     h, w = field.shape
-    # Invalid cells keep their own, in-grid position, so they never add overhang.
     x, y = np.moveaxis(_far_ends(field), 2, 0)
 
     def overhang(amount: float) -> int:
         return max(0, math.ceil(float(amount) - OUT_OF_BOUNDS_TOL))
 
+    # Extremes over the valid cells start at the grid's edges: none, no padding.
     return (
-        overhang(-y.min()),
-        overhang(y.max() - (h - 1)),
-        overhang(-x.min()),
-        overhang(x.max() - (w - 1)),
+        overhang(-y.min(initial=0.0, where=field.mask)),
+        overhang(y.max(initial=h - 1.0, where=field.mask) - (h - 1)),
+        overhang(-x.min(initial=0.0, where=field.mask)),
+        overhang(x.max(initial=w - 1.0, where=field.mask) - (w - 1)),
     )
 
 

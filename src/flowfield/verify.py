@@ -101,7 +101,7 @@ def random_transform(
         raise FlowError(f"max_magnitude must be finite and >= 0, got {max_magnitude!r}")
     h, w = int(shape[0]), int(shape[1])
     kind = TRANSFORM_KINDS[rng.integers(len(TRANSFORM_KINDS))]
-    magnitude = rng.uniform(0.0, max_magnitude)
+    magnitude = rng.uniform(0.0, max_magnitude + 0.0)  # -0.0 + 0.0 is +0.0
     if kind == "translation":
         angle = rng.uniform(0.0, 2.0 * np.pi)
         return AffineTransform.translation(

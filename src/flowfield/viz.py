@@ -112,7 +112,8 @@ def render_arrows(field: FlowField, stride: int = 1) -> np.ndarray:
     drawn arrow gets a dot marker at its lattice point, drawn after its
     line.
     """
-    stride = _integer(stride, 1, "stride")
+    # From 2 * max(H, W) on, no lattice point falls in the image.
+    stride = min(_integer(stride, 1, "stride"), 2 * max(field.shape))
     image = np.full((*field.shape, 3), 255, dtype=np.uint8)
     lattice = slice(stride // 2, None, stride)
     drawn = np.argwhere(field.mask[lattice, lattice])

@@ -60,6 +60,15 @@ class TestMake:
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out.flo").exists()
 
+    @pytest.mark.parametrize("angle", ["inf", "-inf"])
+    def test_non_finite_angle_is_data_error(self, tmp_path, angle):
+        proc = run_subprocess("make", "--transforms", f"rotation:0,0,{angle}", "--size", "3x4",
+                              "--ref", "s", "-o", "x.flo", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "rotation angle must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.flo").exists()
+
     def test_overflowing_composition_is_data_error_without_warning(self, tmp_path):
         proc = run_subprocess("make", "--transforms", "scaling:0,0,1e200;scaling:0,0,1e200",
                               "--size", "3x4", "--ref", "s", "-o", "x.flo", cwd=tmp_path)
@@ -204,6 +213,14 @@ class TestPipelines:
             assert main(["viz", "-f", str(flo), "--style", style, "-o", str(out)]) == 0
             assert read_image(out).shape == (20, 20, 3)
 
+    def test_viz_stride_beyond_a_c_long_draws_nothing(self, tmp_path):
+        flo = tmp_path / "f.flo"
+        save_flow(flo, zeros((3, 4)))
+        out = tmp_path / "a.ppm"
+        assert main(["viz", "-f", str(flo), "--style", "arrows",
+                     "--stride", "99999999999999999999", "-o", str(out)]) == 0
+        assert (read_image(out) == 255).all()
+
     def test_fit_matrix_prints_matrix(self, tmp_path, capsys):
         flo = tmp_path / "f.flo"
         main(["make", "--transforms", "translation:2.5,1", "--size", "10x10",
@@ -292,6 +309,13 @@ class TestVerifyCompose:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: max_magnitude must be finite and >= 0")
+
+    def test_negative_zero_max_mag_is_zero(self, capsys):
+        args = ["verify-compose", "--trials", "1", "--size", "10x12", "--max-mag"]
+        assert main([*args, "-0.0"]) == 0
+        negative_zero = capsys.readouterr()
+        assert main([*args, "0"]) == 0
+        assert negative_zero == capsys.readouterr()
 
     def test_negative_seed_is_data_error(self, capsys):
         code = main(["verify-compose", "--trials", "1", "--size", "10x12", "--seed", "-1"])
@@ -460,8 +484,11 @@ class TestCellBudget:
              "--padding", "1000000000000000,0,0,0", "--ref", "s", "-o", "out.flo"],
             ["resize", "-f", "in.flo", "--scale", "1e15,1", "-o", "out.flo"],
             ["pad", "-f", "in.flo", "--padding", "1000000000000000,0,0,0", "-o", "out.flo"],
+            # Sides too long for a float.
+            ["resize", "-f", "in.flo", "--scale", "1,1e308", "-o", "out.flo"],
+            ["resize", "-f", "in.flo", "--scale", "1e308,1", "-o", "out.flo"],
         ],
-        ids=["make-size", "make-padding", "resize", "pad"],
+        ids=["make-size", "make-padding", "resize", "pad", "resize-inf-width", "resize-inf-height"],
     )
     def test_oversized_grid_is_data_error(self, tmp_path, args):
         save_flow(tmp_path / "in.flo", zeros((4, 4)))

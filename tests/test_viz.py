@@ -219,6 +219,14 @@ class TestArrows:
         dots = ((img != 255).any(axis=-1)).sum()
         assert dots <= 3  # one short arrow: a dot plus at most two line pixels
 
+    def test_stride_beyond_a_c_long_draws_nothing(self):
+        # From stride 2 * max(H, W) on, the first lattice point is off the image.
+        f = constant_flow((7, 7), 1.0, 0.0)
+        img = render_arrows(f, stride=10**20)
+        assert np.array_equal(img, render_arrows(f, stride=14))
+        assert (img == 255).all()
+        assert (render_arrows(f, stride=13) != 255).any()  # the lattice point (6, 6)
+
     def test_constant_source_flow_draws_horizontal_lines(self):
         f = constant_flow((9, 12), 5.0, 0.0)
         img = render_arrows(f, stride=4)
