@@ -14,30 +14,33 @@ Both kernels are sequential and always deterministic, so a fixed seed pins
 `verify-compose` byte for byte. Accumulation happens in double precision
 regardless of input dtype, since division by small weight sums is the
 dominant error source. The masked sample and the splat walk their points
-in blocks, in order, so that each block's temporaries stay in cache; no
-output bit depends on the block size. Blends loop over the few channels,
-scaling one strided column per channel, and masked selects copy whole cells
-(`core._where_valid`), so no per-point weight or mask bit is broadcast over
-a channel axis only 2 or 3 long; the products and sums are those of the
-broadcast form, bit for bit.
+in blocks of the fixed `_BLOCK`, in order, so that each block's temporaries
+stay in cache. The splat sums block by block, so its bits depend on that
+size, but never on the caller: every caller cuts the same blocks. Blends
+loop over the few channels, scaling one strided column per channel, and
+masked selects copy whole cells (`core._where_valid`), so no per-point
+weight or mask bit is broadcast over a channel axis only 2 or 3 long; the
+products and sums are those of the broadcast form, bit for bit.
 
 Each kernel reads its points from a block source, an iterable of
 consecutive (n, 2) arrays. Caller data goes through the public functions,
 which check it and feed slices of its points. Everything the library holds
 goes through the private entries, with no copy and no scan: `_sample` takes
 rows that are finite and zero on invalid cells, and `_splat` takes any
-value for a sample it drops. The warps in `ops` form far ends per row
-block of `_row_blocks`, with the cells they drop at `_OFF_GRID`.
+value for a sample it drops. The warps in `ops` form far ends per block
+of `_cell_blocks`, `_BLOCK` consecutive cells in C order with the cells
+they drop at `_OFF_GRID`: the blocks `_point_blocks` cuts from the whole
+far-end grid.
 
 The splat sums into one accumulator with a row for the weight and one per
-channel, over the grid plus a border (one cell before, two after) wide
-enough for every corner of a retained sample, so no corner is masked. Each
-corner sums into zeroed rows of its own with `np.add.at`, which adds in
-sample order from +0.0, and is then added to the total. The summation
-order is unchanged from a per-corner masked loop, and so is every output
-bit. The thresholds are fixed constants, not parameters: a splatted
-cell needs more than `WEIGHT_THRESHOLD` accumulated weight, and a position
-within `OUT_OF_BOUNDS_TOL` of the grid counts as inside it.
+channel, over the grid plus a border (two cells before, three after) that
+holds every corner once each sample's cell is clamped to it, so no corner
+is masked. Each block adds its four corners in turn straight into it with
+`np.add.at`, which adds in sample order, so each cell sums block by block,
+corner by corner within a block and in sample order within a corner. The
+thresholds are fixed constants, not parameters: a splatted cell needs more
+than `WEIGHT_THRESHOLD` accumulated weight, and a position within
+`OUT_OF_BOUNDS_TOL` of the grid counts as inside it.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ MASK_SAMPLE_THRESHOLD = 0.5
 _OFF_GRID = -2.0
 
 # Points per block of both kernels, so that each block's temporaries stay in
-# cache. No output bit depends on it.
+# cache. The splat sums block by block, so its output bits depend on it.
 _BLOCK = 8192
 
 
@@ -188,21 +191,23 @@ def _point_blocks(pts: np.ndarray):
     return (pts[start : start + _BLOCK] for start in range(0, len(pts), _BLOCK))
 
 
-def _row_blocks(h: int, w: int):
-    """(rows, cols) slices that cut an (H, W) grid into consecutive kernel blocks.
+def _cell_blocks(h: int, w: int):
+    """Cut the cells of an (H, W) grid, in C order, into `_BLOCK`-cell blocks.
 
-    A block is the most whole rows that fit in `_BLOCK` points; a row longer
-    than that is cut into `_BLOCK`-wide pieces. The blocks follow the cells
-    in C order.
+    Yields (rows, cols, cut) per block: the rows and columns that hold it,
+    and the slice that cuts it from their cells in C order. A block within
+    one row takes just its columns; any other takes the whole rows it touches.
     """
-    if w > _BLOCK:
-        return (
-            (slice(row, row + 1), slice(col, col + _BLOCK))
-            for row in range(h)
-            for col in range(0, w, _BLOCK)
-        )
-    step = _BLOCK // w
-    return ((slice(row, row + step), slice(None)) for row in range(0, h, step))
+    n = h * w
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        rows = slice(start // w, (stop - 1) // w + 1)
+        skip = start - rows.start * w
+        cut = slice(skip, skip + stop - start)
+        if rows.stop - rows.start == 1:
+            yield rows, cut, slice(None)
+        else:
+            yield rows, slice(None), cut
 
 
 def _sample(rows: np.ndarray, mask: np.ndarray, blocks, n: int):
@@ -263,69 +268,51 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _splat_sums(blocks, vals: np.ndarray, h: int, w: int, negate: bool) -> np.ndarray:
-    """Splat sums of (N, C) values at a block source's points, shape (1 + C, (H+3)*(W+3)).
+    """Splat sums of (N, C) values at a block source's points, shape (1 + C, H, W).
 
     Row 0 holds the weight and row 1 + c the weighted channel c; `negate`
     sums the negated values by negating each weight, as (-w) * v is
-    w * (-v) bit for bit. A kept sample's corners span [-1, W+1] x [-1, H+1];
-    a border of one cell before and two after holds them all, so no corner
-    needs a test. A dropped sample is sent to the border cell after the
-    last row and column, where none of its corners touches the grid, so
-    its value, whatever it is, never reaches a grid cell. Only the returned
-    sums outlive the call, so the per-sample arrays are gone before the
-    caller divides.
+    w * (-v) bit for bit. The sums run over the grid plus a border of two
+    cells before and three after, and each sample's floor cell is clamped
+    to [-2, W+1] x [-2, H+1], so every corner lands inside and none needs a
+    test. A sample outside the retention band [-1, W] x [-1, H] has no
+    corner on the grid, so its value, whatever it is, never reaches a grid
+    cell.
+
+    Each block adds its four corners in turn straight into the sums with
+    `np.add.at`, which adds in sample order, so each cell sums block by
+    block, corner by corner within a block and in sample order within a
+    corner. Only the block's own stencil is formed, so no per-sample array
+    outlives its block.
     """
-    pw = w + 3
-    dropped = (h + 1) * pw + w + 1
-    n = len(vals)
-    fx = np.empty(n)
-    fy = np.empty(n)
-    base = np.empty(n, dtype=np.intp)
-    # One allocation for both: freeing a block this large raises glibc's
-    # dynamic trim threshold, so on small grids the heap is not given back
-    # and faulted in again on every warp. At 150x250 a verify-compose trial
-    # took 0.8-1.1k page faults this way against 1.7-2.3k with two blocks.
-    acc, part = np.empty((2, 1 + vals.shape[1], (h + 3) * pw))
-    acc.fill(0.0)
-    # The base index of a dropped sample far out can overflow before it is
-    # replaced. Sums of finite values near the float64 limit can overflow (or
-    # meet as inf - inf) across corners; the caller's finite check reports it.
+    pw = w + 5
+    acc = np.zeros((1 + vals.shape[1], (h + 5) * pw))
+    # Sums of finite values near the float64 limit can overflow (or meet as
+    # inf - inf); the caller's finite check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         start = 0
         for pts in blocks:
             block = slice(start, start + len(pts))
             start = block.stop
             x, y = pts[:, 0], pts[:, 1]
-            keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
-            # The floors stay float64, exact for these small integers.
             x0 = np.floor(x)
             y0 = np.floor(y)
-            np.subtract(x, x0, out=fx[block])
-            np.subtract(y, y0, out=fy[block])
-            base[block] = np.where(keep, (y0 + 1.0) * pw + (x0 + 1.0), dropped)
-
-        # Each corner sums into zeroed rows of its own, in sample order and
-        # block by block, and is then added to the total, so each cell sums
-        # corner by corner: one pass over all four corners would reorder the
-        # sums and move bits.
-        for corner, offset in enumerate((0, 1, pw, pw + 1)):
-            rows = part if offset else acc
-            if offset:
-                part.fill(0.0)
-            for start in range(0, n, _BLOCK):
-                block = slice(start, start + _BLOCK)
-                wx = fx[block] if corner & 1 else 1.0 - fx[block]
-                wy = fy[block] if corner & 2 else 1.0 - fy[block]
-                contrib = wx * wy
-                index = base[block]
-                np.add.at(rows[0, offset:], index, contrib)
+            fx = x - x0
+            fy = y - y0
+            # Clamped, the floors are small integers, exact in float64.
+            np.clip(x0, -2.0, w + 1.0, out=x0)
+            np.clip(y0, -2.0, h + 1.0, out=y0)
+            base = ((y0 + 2.0) * pw + (x0 + 2.0)).astype(np.intp)
+            wx = (1.0 - fx, fx)
+            wy = (1.0 - fy, fy)
+            for corner, offset in enumerate((0, 1, pw, pw + 1)):
+                contrib = wx[corner & 1] * wy[corner >> 1]
+                np.add.at(acc[0, offset:], base, contrib)
                 if negate:
                     np.negative(contrib, out=contrib)
                 for c in range(vals.shape[1]):
-                    np.add.at(rows[1 + c, offset:], index, contrib * vals[block, c])
-            if offset:
-                acc += part
-    return acc
+                    np.add.at(acc[1 + c, offset:], base, contrib * vals[block, c])
+    return acc.reshape(-1, h + 5, pw)[:, 2 : h + 2, 2 : w + 2]
 
 
 def _splat(blocks, vals: np.ndarray, h: int, w: int, negate: bool = False):
@@ -333,16 +320,16 @@ def _splat(blocks, vals: np.ndarray, h: int, w: int, negate: bool = False):
 
     Returns the (H, W, C) weighted means and the coverage mask, as
     `grid_from_unstructured_data` describes; see `_splat_sums` for the
-    block source and `negate`. Raises FlowError when a mean overflows.
+    block source, the summation order and `negate`. Raises FlowError when
+    a mean overflows.
     """
     n_channels = vals.shape[1]
-    sums = _splat_sums(blocks, vals, h, w, negate).reshape(1 + n_channels, h + 3, w + 3)
-    interior = sums[:, 1 : h + 1, 1 : w + 1]
-    weight = interior[0]
+    sums = _splat_sums(blocks, vals, h, w, negate)
+    weight = sums[0]
     mask = weight > WEIGHT_THRESHOLD
     out = np.zeros((h, w, n_channels), dtype=np.float64)
     for c in range(n_channels):
-        np.divide(interior[1 + c], weight, out=out[..., c], where=mask)
+        np.divide(sums[1 + c], weight, out=out[..., c], where=mask)
     if not np.isfinite(out).all():
         raise FlowError("splatted values overflow float64")
     return out, mask
@@ -359,13 +346,13 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     values near the float64 limit can overflow in the sums; a non-finite
     mean raises FlowError.
 
-    The sums run over an accumulator padded so that every corner of a
-    retained sample lands inside it, so no corner is masked. Each cell sums
-    its contributions corner by corner, (0, 0), (1, 0), (0, 1), (1, 1), and
-    within a corner in sample order: the summation order, and with it every
-    output bit, is that of masking each corner in turn. Samples are taken
-    in fixed-size blocks, which changes the memory traffic but not the
-    order.
+    The samples are taken in consecutive blocks of a fixed size, and each
+    block adds its corners (0, 0), (1, 0), (0, 1), (1, 1) in turn into an
+    accumulator padded so that every corner of a retained sample lands
+    inside it, so no corner is masked. Each cell sums block by block,
+    corner by corner within a block and in sample order within a corner,
+    so the output bits depend on the fixed block size, never on the
+    caller.
 
     Parameters
     ----------

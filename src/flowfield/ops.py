@@ -39,10 +39,10 @@ from .core import (
 from .interp import (
     _OFF_GRID,
     OUT_OF_BOUNDS_TOL,
+    _cell_blocks,
     _channels_last,
     _in_bounds,
     _point_blocks,
-    _row_blocks,
     _sample,
     _splat,
     grid_from_unstructured_data,
@@ -82,9 +82,13 @@ def _far_ends(field: FlowField, rows=slice(None), cols=slice(None), kept=None) -
 
 
 def _end_blocks(field: FlowField, kept=None):
-    """A warp's block source: each kernel block's (N, 2) far ends, formed when it is read."""
-    blocks = _row_blocks(*field.shape)
-    return (_far_ends(field, rows, cols, kept).reshape(-1, 2) for rows, cols in blocks)
+    """A warp's block source: each kernel block's (N, 2) far ends, formed when it is read.
+
+    The blocks are those `_point_blocks` cuts from the whole far-end grid,
+    so a warp sums exactly as the public splat of that grid does.
+    """
+    blocks = _cell_blocks(*field.shape)
+    return (_far_ends(field, rows, cols, kept).reshape(-1, 2)[cut] for rows, cols, cut in blocks)
 
 
 def _push(field: FlowField, data: np.ndarray, data_mask: np.ndarray, negate: bool = False):
@@ -225,11 +229,11 @@ def valid_target(field: FlowField) -> np.ndarray:
     """Mask of the grid cells that receive data when the flow is applied.
 
     Target-reference flows use the exact in-bounds test of each cell's
-    far end; source-reference flows splat ones.
+    far end; source-reference flows splat the bilinear weights alone.
     """
     if field.reference is Reference.TARGET:
         return _lands_in_grid(field)
-    return _push(field, np.ones(field.shape), field.mask)[1]
+    return _splat(_end_blocks(field), np.empty((field.mask.size, 0)), *field.shape)[1]
 
 
 def valid_source(field: FlowField) -> np.ndarray:

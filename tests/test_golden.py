@@ -64,8 +64,10 @@ def test_demo_synthetic_flo_bytes(tmp_path, capsys):
 
 # sha256 over every warp output of `_warp_outputs` below: apply, invert,
 # switch_reference, the valid areas and all 24 combine branches on seeded
-# flows with partial masks and junk under their false bits.
-WARP_SHA256 = "f02536c33e2d2fd8b7c373ee8c97af5051a5a3e652b2aadd79cb3008604dc1e3"
+# flows with partial masks and junk under their false bits. Re-recorded
+# when the splat began adding each block's four corners straight into one
+# accumulator (a summation-order change; see CHANGES.md for its size).
+WARP_SHA256 = "22fac9118e8c6e92c0e1302d221d01e488be1d96bedec7dc14f89be87f8bee5c"
 
 WARP_SHAPES = [(1, 1), (1, 9), (7, 1), (30, 41)]
 # Grids that span several kernel blocks (`interp._BLOCK` points each), so
@@ -143,8 +145,9 @@ def test_warp_outputs_sha256():
 
 
 # sha256 over the same warps on `MULTIBLOCK_SHAPES`, recorded before the
-# kernels looped over channels instead of broadcasting over them.
-MULTIBLOCK_WARP_SHA256 = "c63e9dd8c9e8834ed64f247921876b98f9c48aa77eb39b9757a307e5e3033a75"
+# kernels looped over channels instead of broadcasting over them, and
+# re-recorded with `WARP_SHA256` for the splat's summation order.
+MULTIBLOCK_WARP_SHA256 = "4ba47db2f7422d78b72652f0c2a0abfc3a0233467d9047500ad4d001645ed33d"
 
 
 def test_multiblock_warp_outputs_sha256():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowfield.interp
 from flowfield import FlowError, bilinear_sample, grid_from_unstructured_data
 from flowfield.core import _points
 from flowfield.interp import _BLOCK, WEIGHT_THRESHOLD, _blend, _corners, masked_bilinear_sample
@@ -15,11 +16,14 @@ from conftest import splat_bruteforce
 
 
 def splat_four_pass(positions, values, shape):
-    """The splat as one masked `bincount` pass per corner into unpadded accumulators.
+    """The splat as four masked corner passes per block into unpadded accumulators.
 
-    Kept as an independent bit-for-bit oracle of `grid_from_unstructured_data`,
-    which sums block by block with `np.add.at`: both add each corner's
-    sample-order sum to each cell, corner by corner.
+    Kept as an independent bit-for-bit oracle of `grid_from_unstructured_data`.
+    The points are cut into chunks of `interp._BLOCK` (read at call time, so
+    a patched size applies), and each chunk adds its corners (0, 0), (1, 0),
+    (0, 1), (1, 1) in turn with `np.add.at`, which adds in sample order. A
+    `bincount` per chunk and corner would sum the chunk's terms before
+    adding them, which rounds differently.
     """
     h, w = shape
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
@@ -28,36 +32,35 @@ def splat_four_pass(positions, values, shape):
     if squeeze:
         vals = vals[:, None]
     n_channels = vals.shape[1]
-    x, y = pts[:, 0], pts[:, 1]
-    keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
-    x, y, vals = x[keep], y[keep], vals[keep]
-    x0 = np.floor(x).astype(np.intp)
-    y0 = np.floor(y).astype(np.intp)
-    fx = x - x0
-    fy = y - y0
     weight_acc = np.zeros(h * w)
-    value_acc = np.zeros((h * w, n_channels))
-    for dx, dy, corner_w in (
-        (0, 0, (1.0 - fx) * (1.0 - fy)),
-        (1, 0, fx * (1.0 - fy)),
-        (0, 1, (1.0 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        cx = x0 + dx
-        cy = y0 + dy
-        inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        if not np.any(inside):
-            continue
-        lin = cy[inside] * w + cx[inside]
-        contrib = corner_w[inside]
-        weight_acc += np.bincount(lin, weights=contrib, minlength=h * w)
-        for c in range(n_channels):
-            value_acc[:, c] += np.bincount(
-                lin, weights=contrib * vals[inside, c], minlength=h * w
-            )
+    value_acc = np.zeros((n_channels, h * w))
+    block = flowfield.interp._BLOCK
+    for start in range(0, len(pts), block):
+        x, y = pts[start : start + block].T
+        chunk = vals[start : start + block]
+        keep = (x >= -1.0) & (x <= w) & (y >= -1.0) & (y <= h)
+        x, y, chunk = x[keep], y[keep], chunk[keep]
+        x0 = np.floor(x).astype(np.intp)
+        y0 = np.floor(y).astype(np.intp)
+        fx = x - x0
+        fy = y - y0
+        for dx, dy, corner_w in (
+            (0, 0, (1.0 - fx) * (1.0 - fy)),
+            (1, 0, fx * (1.0 - fy)),
+            (0, 1, (1.0 - fx) * fy),
+            (1, 1, fx * fy),
+        ):
+            cx = x0 + dx
+            cy = y0 + dy
+            inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+            lin = cy[inside] * w + cx[inside]
+            contrib = corner_w[inside]
+            np.add.at(weight_acc, lin, contrib)
+            for c in range(n_channels):
+                np.add.at(value_acc[c], lin, contrib * chunk[inside, c])
     mask = weight_acc > WEIGHT_THRESHOLD
     out = np.zeros((h * w, n_channels))
-    np.divide(value_acc, weight_acc[:, None], out=out, where=mask[:, None])
+    np.divide(value_acc.T, weight_acc[:, None], out=out, where=mask[:, None])
     out = out.reshape(h, w, n_channels)
     if squeeze:
         out = out[..., 0]

@@ -1,12 +1,14 @@
 """The warps against the whole-grid expressions they replaced, bit for bit.
 
 `_push`, `_pull`, `invert`, `switch_reference` and `apply` form far ends one
-kernel block at a time and send dropped cells off the grid instead of
-compressing the kept ones into copies. The oracles below are the replaced
-expressions, kept as `blend_broadcast` is: a far-end grid built from
-`grid_coordinates` and the masked vectors, a compressed copy of the kept
-cells for the splat, a far-end grid with invalid cells at -1 for the
-public sampler, and a negated copy of the vectors for `invert`.
+kernel block at a time and send dropped cells off the grid. The oracles
+below are whole-grid expressions, kept as `blend_broadcast` is: a far-end
+grid built from `grid_coordinates` and the masked vectors, with dropped
+cells outside the splat's retention band or at -1 for the public sampler,
+and a negated copy of the vectors for `invert`. The splat sums block by
+block, so its bits depend on how the points are cut into blocks; the
+oracle splats the whole far-end grid, which the public splat cuts into
+the same `_BLOCK`-point blocks as the warps.
 """
 
 import warnings
@@ -26,11 +28,12 @@ from flowfield import (
     grid_from_unstructured_data,
     invert,
     switch_reference,
+    valid_target,
     zeros,
 )
 from flowfield.core import _where_valid
 from flowfield.interp import _BLOCK, masked_bilinear_sample
-from flowfield.ops import _pull, _push
+from flowfield.ops import _far_ends, _pull, _push
 
 JUNK = np.array([np.nan, np.inf, -np.inf, 1e308, -0.0])
 # Components sprinkled over lattice flows: signed zeros and subnormals,
@@ -44,11 +47,13 @@ def far_ends_grid(field):
     return step(ends, field.masked_vectors(), out=ends)
 
 
-def push_compressed(field, data, data_mask):
-    kept = (field.mask & data_mask).ravel()
-    ends = far_ends_grid(field).reshape(-1, 2)
-    values = data.reshape(kept.size, -1)
-    return grid_from_unstructured_data(ends[kept], values[kept], field.shape)
+def push_grid(field, data, data_mask):
+    kept = field.mask & data_mask
+    ends = far_ends_grid(field)
+    ends[~kept] = -3.0  # outside the retention band [-1, W] x [-1, H]
+    # The public splat refuses junk; a dropped sample's value is never read.
+    values = _where_valid(kept, data).reshape(kept.size, -1)
+    return grid_from_unstructured_data(ends.reshape(-1, 2), values, field.shape)
 
 
 def pull_grid(field, data, data_mask):
@@ -59,12 +64,12 @@ def pull_grid(field, data, data_mask):
 
 
 def invert_negated(field):
-    vectors, mask = push_compressed(field, -field.vectors, field.mask)
+    vectors, mask = push_grid(field, -field.vectors, field.mask)
     return FlowField(vectors, field.reference, mask)
 
 
 def switch_oracle(field):
-    vectors, mask = push_compressed(field, field.vectors, field.mask)
+    vectors, mask = push_grid(field, field.vectors, field.mask)
     return FlowField(vectors, field.reference.opposite, mask)
 
 
@@ -72,7 +77,7 @@ def apply_oracle(field, data, data_mask):
     arr = np.asarray(data, dtype=np.float64)
     squeeze = arr.ndim == 2
     arr = arr[..., None] if squeeze else arr
-    warp = push_compressed if field.reference is Reference.SOURCE else pull_grid
+    warp = push_grid if field.reference is Reference.SOURCE else pull_grid
     warped, mask = warp(field, arr, data_mask)
     return (warped[..., 0] if squeeze else warped), mask
 
@@ -145,7 +150,7 @@ class Case:
         self.clean_data = _where_valid(self.data_mask, self.data)
 
     def same(self, got, want):
-        """Both ops run with the case's kernel block size, which no output bit depends on."""
+        """Both ops run with the case's kernel block size, so both cut the same blocks."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flowfield.interp, "_BLOCK", self.block)
             return _outcome(got) == _outcome(want)
@@ -172,7 +177,7 @@ class TestWarpsMatchWholeGridOracles:
         c = Case(case)
         assert c.same(
             lambda: _push(c.field, c.junk_data, c.data_mask),
-            lambda: push_compressed(c.field, c.junk_data, c.data_mask),
+            lambda: push_grid(c.field, c.junk_data, c.data_mask),
         )
 
     @given(case=warp_cases)
@@ -205,6 +210,38 @@ class TestWarpsMatchWholeGridOracles:
             lambda: apply(c.field, data, c.data_mask),
             lambda: apply_oracle(c.field, data, c.data_mask),
         )
+
+    @given(case=warp_cases.map(lambda case: {**case, "ref": "s"}))
+    @settings(max_examples=60, deadline=None)
+    def test_valid_target_is_the_mask_of_a_splat_of_ones(self, case):
+        c = Case(case)
+        ones = np.ones(c.field.shape)
+        assert c.same(
+            lambda: (valid_target(c.field),),
+            lambda: (_push(c.field, ones, c.field.mask)[1],),
+        )
+
+
+class TestPushIsThePublicSplat:
+    """`_push` equals the public splat of the whole far-end grid, byte for byte.
+
+    Both cut the cells, in C order with dropped ones off the grid, into the
+    same `_BLOCK`-point blocks, whatever `_BLOCK` is.
+    """
+
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    @given(case=warp_cases)
+    @settings(max_examples=30, deadline=None)
+    def test_same_bytes(self, block, case):
+        c = Case({**case, "block": block})
+        kept = c.field.mask & c.data_mask
+        values = _where_valid(kept, c.junk_data).reshape(kept.size, -1)
+
+        def public():
+            ends = _far_ends(c.field, kept=kept).reshape(-1, 2)
+            return grid_from_unstructured_data(ends, values, c.field.shape)
+
+        assert c.same(lambda: _push(c.field, c.junk_data, c.data_mask), public)
 
 
 class TestInvertSignOfZero:
