@@ -18,7 +18,6 @@ from .core import (
     from_transforms,
     grid_coordinates,
     pad,
-    resize,
     unpad,
     zeros,
 )
@@ -30,6 +29,7 @@ from .ops import (
     get_padding,
     invert,
     map_vectors,
+    resize,
     switch_reference,
     track,
     valid_source,

@@ -21,12 +21,12 @@ from . import __version__
 from .compose import combine as combine_flows
 from .core import _STEP_ARITY, FlowError, _padding, from_transforms
 from .core import pad as pad_flow
-from .core import resize as resize_flow
 from .core import unpad as unpad_flow
 from .demo import run_synthetic_demo
 from .fileio import load_flow, read_image, save_flow, write_image, write_mask
 from .ops import apply as apply_flow
 from .ops import fit_matrix, get_padding, invert, switch_reference, track, valid_source, valid_target
+from .ops import resize as resize_flow
 from .verify import run_trials
 from .viz import render_arrows, render_colorwheel
 

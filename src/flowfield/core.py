@@ -28,7 +28,6 @@ __all__ = [
     "from_transforms",
     "grid_coordinates",
     "pad",
-    "resize",
     "unpad",
     "zeros",
 ]
@@ -445,42 +444,6 @@ def from_transforms(
     empty list yields zero flow in either reference.
     """
     return from_matrix(AffineTransform.from_transforms(transforms), shape, reference, padding)
-
-
-def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
-    """Resample a flow to new dimensions, scaling vectors accordingly.
-
-    `scale` is (sy, sx); vectors are bilinearly resampled onto the new
-    grid, x components multiplied by sx and y components by sy. The mask
-    is resampled as floats and thresholded at 0.5.
-    """
-    from .interp import _point_blocks, _sample
-
-    sy, sx = float(scale[0]), float(scale[1])
-    if not (0 < sy < np.inf and 0 < sx < np.inf):
-        raise FlowError(f"scale factors must be positive and finite, got {(sy, sx)}")
-    h, w = field.shape
-    # A side too long for a float stays unrounded, for the cell budget to refuse.
-    new_h, new_w = (round(n) if n < np.inf else n for n in (h * sy, w * sx))
-    if new_h < 1 or new_w < 1:
-        raise FlowError(f"resize to {(new_h, new_w)} would produce an empty grid")
-    _check_cells(new_h, new_w)
-    if (new_h, new_w) == (h, w) and sy == 1.0 and sx == 1.0:
-        return FlowField(field.masked_vectors(), field.reference, field.mask)
-
-    # Corner-aligned sample positions in the old grid.
-    xs = np.linspace(0.0, w - 1.0, new_w) if new_w > 1 else np.zeros(1)
-    ys = np.linspace(0.0, h - 1.0, new_h) if new_h > 1 else np.zeros(1)
-    gx, gy = np.meshgrid(xs, ys)
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-
-    rows = field.masked_vectors().reshape(h * w, 2)
-    sampled, valid = _sample(rows, field.mask, _point_blocks(points), len(points))
-    with np.errstate(over="ignore"):
-        vectors = sampled.reshape(new_h, new_w, 2) * (sx, sy)
-    if not np.isfinite(vectors).all():
-        raise FlowError("resized vectors overflow float64")
-    return FlowField._trusted(vectors, field.reference, valid.reshape(new_h, new_w))
 
 
 def pad(field: FlowField, padding) -> FlowField:

@@ -13,24 +13,24 @@ by `core._points`.
 Both kernels are sequential and always deterministic, so a fixed seed pins
 `verify-compose` byte for byte. Accumulation happens in double precision
 regardless of input dtype, since division by small weight sums is the
-dominant error source. The masked sample and the splat walk their points
-in blocks of the fixed `_BLOCK`, in order, so that each block's temporaries
-stay in cache. The splat sums block by block, so its bits depend on that
-size, but never on the caller: every caller cuts the same blocks. Blends
-loop over the few channels, scaling one strided column per channel, and
-masked selects copy whole cells (`core._where_valid`), so no per-point
-weight or mask bit is broadcast over a channel axis only 2 or 3 long; the
-products and sums are those of the broadcast form, bit for bit.
+dominant error source. The masked sample and the splat cut their points
+into blocks of the fixed `_BLOCK`, in order, so that each block's
+temporaries stay in cache. The splat sums block by block, so its bits
+depend on that size; the kernels make the cut themselves, so they never
+depend on the caller. Blends loop over the few channels, scaling one
+strided column per channel, and masked selects copy whole cells
+(`core._where_valid`), so no per-point weight or mask bit is broadcast over
+a channel axis only 2 or 3 long; the products and sums are those of the
+broadcast form, bit for bit.
 
-Each kernel reads its points from a block source, an iterable of
-consecutive (n, 2) arrays. Caller data goes through the public functions,
-which check it and feed slices of its points. Everything the library holds
-goes through the private entries, with no copy and no scan: `_sample` takes
-rows that are finite and zero on invalid cells, and `_splat` takes any
-value for a sample it drops. The warps in `ops` form far ends per block
-of `_cell_blocks`, `_BLOCK` consecutive cells in C order with the cells
-they drop at `_OFF_GRID`: the blocks `_point_blocks` cuts from the whole
-far-end grid.
+Each kernel asks a point source, `points(block) -> (k, 2)`, for the points
+of each block, a slice of the point indices. Caller data goes through the
+public functions, which check it and pass the checked array's
+`__getitem__`. Everything the library holds goes through the private
+entries, with no copy and no scan: `_sample` takes rows that are finite
+and zero on invalid cells, and `_splat` takes any value for a sample it
+drops. The warps in `ops` pass a source that forms the far ends of just
+the asked-for cells, with the cells they drop at `_OFF_GRID`.
 
 The splat sums into one accumulator with a row for the weight and one per
 channel, over the grid plus a border (two cells before, three after) that
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, _points, _where_valid
+from .core import FlowError, _check_cells, _points, _where_valid
 
 __all__ = [
     "MASK_SAMPLE_THRESHOLD",
@@ -186,45 +186,20 @@ def bilinear_sample(grid, points):
     return values, in_bounds
 
 
-def _point_blocks(pts: np.ndarray):
-    """Block source of checked (N, 2) points: consecutive `_BLOCK`-point slices."""
-    return (pts[start : start + _BLOCK] for start in range(0, len(pts), _BLOCK))
+def _sample(rows: np.ndarray, mask: np.ndarray, points, n: int):
+    """`masked_bilinear_sample` of clean (H*W, C) rows at n points, asked for by block.
 
-
-def _cell_blocks(h: int, w: int):
-    """Cut the cells of an (H, W) grid, in C order, into `_BLOCK`-cell blocks.
-
-    Yields (rows, cols, cut) per block: the rows and columns that hold it,
-    and the slice that cuts it from their cells in C order. A block within
-    one row takes just its columns; any other takes the whole rows it touches.
-    """
-    n = h * w
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        rows = slice(start // w, (stop - 1) // w + 1)
-        skip = start - rows.start * w
-        cut = slice(skip, skip + stop - start)
-        if rows.stop - rows.start == 1:
-            yield rows, cut, slice(None)
-        else:
-            yield rows, slice(None), cut
-
-
-def _sample(rows: np.ndarray, mask: np.ndarray, blocks, n: int):
-    """`masked_bilinear_sample` of clean (H*W, C) rows at the n points of a block source.
-
-    The rows must be finite and zero where the (H, W) `mask` is false.
-    Returns (n, C) values and (n,) valid flags.
+    The rows must be finite and zero where the (H, W) `mask` is false, and
+    `points(block)` returns the (k, 2) points of a slice of the n. Returns
+    (n, C) values and (n,) valid flags.
     """
     h, w = mask.shape
     cells = None if mask.all() else mask.reshape(h * w)
     values = np.empty((n, rows.shape[1]))
     valid = np.empty(n, dtype=bool)
-    start = 0
-    for pts in blocks:
-        block = slice(start, start + len(pts))
-        start = block.stop
-        index, weight, ok = _corners(pts, h, w)
+    for start in range(0, n, _BLOCK):
+        block = slice(start, min(start + _BLOCK, n))
+        index, weight, ok = _corners(points(block), h, w)
         part = _blend(rows, index, weight)
         if cells is not None:
             coverage = _blend(cells, index, weight)
@@ -261,39 +236,41 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
         raise FlowError("data must be finite on valid cells")
     rows, _, _, squeeze = _grid_rows(clean)
     pts = _points(points)
-    values, valid = _sample(rows, valid_cells, _point_blocks(pts), len(pts))
+    values, valid = _sample(rows, valid_cells, pts.__getitem__, len(pts))
     if squeeze:
         values = values[:, 0]
     return values, valid
 
 
-def _splat_sums(blocks, vals: np.ndarray, h: int, w: int, negate: bool) -> np.ndarray:
-    """Splat sums of (N, C) values at a block source's points, shape (1 + C, H, W).
+def _splat(points, vals: np.ndarray, h: int, w: int, negate: bool = False):
+    """Splat (N, C) values from N points, asked for by block, onto an (H, W) grid.
 
-    Row 0 holds the weight and row 1 + c the weighted channel c; `negate`
-    sums the negated values by negating each weight, as (-w) * v is
-    w * (-v) bit for bit. The sums run over the grid plus a border of two
-    cells before and three after, and each sample's floor cell is clamped
-    to [-2, W+1] x [-2, H+1], so every corner lands inside and none needs a
-    test. A sample outside the retention band [-1, W] x [-1, H] has no
-    corner on the grid, so its value, whatever it is, never reaches a grid
-    cell.
+    `points(block)` returns the (k, 2) points of a slice of the N. Returns
+    the (H, W, C) weighted means and the coverage mask, as
+    `grid_from_unstructured_data` describes; `negate` splats the negated
+    values by negating each weight, as (-w) * v is w * (-v) bit for bit.
+    Raises FlowError when a mean overflows.
 
-    Each block adds its four corners in turn straight into the sums with
-    `np.add.at`, which adds in sample order, so each cell sums block by
-    block, corner by corner within a block and in sample order within a
-    corner. Only the block's own stencil is formed, so no per-sample array
-    outlives its block.
+    The sums, a row for the weight and one per channel, run over the grid
+    plus a border of two cells before and three after, and each sample's
+    floor cell is clamped to [-2, W+1] x [-2, H+1], so every corner lands
+    inside and none needs a test. A sample outside the retention band
+    [-1, W] x [-1, H] has no corner on the grid, so its value, whatever it
+    is, never reaches a grid cell. Each block adds its four corners in turn
+    straight into the sums with `np.add.at`, which adds in sample order, so
+    each cell sums block by block, corner by corner within a block and in
+    sample order within a corner. Only the block's own stencil is formed,
+    so no per-sample array outlives its block.
     """
+    n, n_channels = vals.shape
     pw = w + 5
-    acc = np.zeros((1 + vals.shape[1], (h + 5) * pw))
+    acc = np.zeros((1 + n_channels, (h + 5) * pw))
     # Sums of finite values near the float64 limit can overflow (or meet as
-    # inf - inf); the caller's finite check reports it.
+    # inf - inf); the finite check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        start = 0
-        for pts in blocks:
-            block = slice(start, start + len(pts))
-            start = block.stop
+        for start in range(0, n, _BLOCK):
+            block = slice(start, min(start + _BLOCK, n))
+            pts = points(block)
             x, y = pts[:, 0], pts[:, 1]
             x0 = np.floor(x)
             y0 = np.floor(y)
@@ -310,21 +287,9 @@ def _splat_sums(blocks, vals: np.ndarray, h: int, w: int, negate: bool) -> np.nd
                 np.add.at(acc[0, offset:], base, contrib)
                 if negate:
                     np.negative(contrib, out=contrib)
-                for c in range(vals.shape[1]):
+                for c in range(n_channels):
                     np.add.at(acc[1 + c, offset:], base, contrib * vals[block, c])
-    return acc.reshape(-1, h + 5, pw)[:, 2 : h + 2, 2 : w + 2]
-
-
-def _splat(blocks, vals: np.ndarray, h: int, w: int, negate: bool = False):
-    """Splat (N, C) values from the points of a block source onto an (H, W) grid.
-
-    Returns the (H, W, C) weighted means and the coverage mask, as
-    `grid_from_unstructured_data` describes; see `_splat_sums` for the
-    block source, the summation order and `negate`. Raises FlowError when
-    a mean overflows.
-    """
-    n_channels = vals.shape[1]
-    sums = _splat_sums(blocks, vals, h, w, negate)
+    sums = acc.reshape(-1, h + 5, pw)[:, 2 : h + 2, 2 : w + 2]
     weight = sums[0]
     mask = weight > WEIGHT_THRESHOLD
     out = np.zeros((h, w, n_channels), dtype=np.float64)
@@ -371,6 +336,7 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     h, w = int(shape[0]), int(shape[1])
     if h < 1 or w < 1:
         raise FlowError(f"output shape must be at least 1x1, got {shape}")
+    _check_cells(h, w)
     pts = _points(positions)
     vals = np.asarray(values, dtype=np.float64)
     squeeze = vals.ndim == 1
@@ -380,7 +346,7 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
         raise FlowError(f"values shape {vals.shape} does not match {pts.shape[0]} positions")
     if not np.isfinite(vals).all():
         raise FlowError("values must be finite")
-    out, mask = _splat(_point_blocks(pts), vals, h, w)
+    out, mask = _splat(pts.__getitem__, vals, h, w)
     if squeeze:
         out = out[..., 0]
     return out, mask

@@ -1,4 +1,4 @@
-"""Single-flow operations: warping, tracking, inversion, evaluation.
+"""Single-flow operations: warping, tracking, resampling, inversion, evaluation.
 
 A source-reference vector at grid cell g points from g to g + F(g), a
 target-reference one from g - F(g) to g; `_far_ends` forms that far end, the
@@ -17,7 +17,7 @@ cells by default, go to `interp._OFF_GRID`, where both kernels drop them.
 Only `apply` takes caller data, through the public kernels, which check it.
 Everything the library holds goes through `interp._sample` and
 `interp._splat`, with no copy and no scan; `_push` and `_pull` feed them
-far ends formed block by block.
+the far ends of just the cells each kernel block asks for.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     FlowError,
     FlowField,
     Reference,
+    _check_cells,
     _fill_cells,
     _points,
     _where_valid,
@@ -39,10 +40,8 @@ from .core import (
 from .interp import (
     _OFF_GRID,
     OUT_OF_BOUNDS_TOL,
-    _cell_blocks,
     _channels_last,
     _in_bounds,
-    _point_blocks,
     _sample,
     _splat,
     grid_from_unstructured_data,
@@ -55,6 +54,7 @@ __all__ = [
     "get_padding",
     "invert",
     "map_vectors",
+    "resize",
     "switch_reference",
     "track",
     "valid_source",
@@ -81,14 +81,23 @@ def _far_ends(field: FlowField, rows=slice(None), cols=slice(None), kept=None) -
     return ends
 
 
-def _end_blocks(field: FlowField, kept=None):
-    """A warp's block source: each kernel block's (N, 2) far ends, formed when it is read.
+def _end_source(field: FlowField, kept=None):
+    """A warp's point source: the (k, 2) far ends of a slice of cells in C order.
 
-    The blocks are those `_point_blocks` cuts from the whole far-end grid,
-    so a warp sums exactly as the public splat of that grid does.
+    A slice within one row forms only its own cells; any other forms the
+    whole rows it touches and cuts its cells from them.
     """
-    blocks = _cell_blocks(*field.shape)
-    return (_far_ends(field, rows, cols, kept).reshape(-1, 2)[cut] for rows, cols, cut in blocks)
+    w = field.shape[1]
+
+    def ends(block: slice) -> np.ndarray:
+        row, col = divmod(block.start, w)
+        size = block.stop - block.start
+        if col + size <= w:
+            return _far_ends(field, slice(row, row + 1), slice(col, col + size), kept)[0]
+        rows = slice(row, (block.stop - 1) // w + 1)
+        return _far_ends(field, rows, slice(None), kept).reshape(-1, 2)[col : col + size]
+
+    return ends
 
 
 def _push(field: FlowField, data: np.ndarray, data_mask: np.ndarray, negate: bool = False):
@@ -96,15 +105,12 @@ def _push(field: FlowField, data: np.ndarray, data_mask: np.ndarray, negate: boo
 
     Returns the result, of the negated data if `negate`, on the other
     frame's grid and its coverage mask. Other cells go off the grid, so
-    whatever they hold is dropped; the data must be finite on kept cells.
+    whatever they hold is dropped; the caller guarantees that the data is
+    finite on kept cells (a field's vectors or a checked sum), unscanned.
     """
     h, w = field.shape
-    kept = field.mask & data_mask
     values = data.reshape(h * w, -1)
-    # A scan of the whole array is cheap; gather the kept cells only when it fails.
-    if not np.isfinite(values).all() and not np.isfinite(values[kept.ravel()]).all():
-        raise FlowError("values must be finite")
-    return _splat(_end_blocks(field, kept), values, h, w, negate)
+    return _splat(_end_source(field, field.mask & data_mask), values, h, w, negate)
 
 
 def _pull(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
@@ -118,7 +124,7 @@ def _pull(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
     sampler's own zeroing covers them.
     """
     h, w = field.shape
-    values, valid = _sample(data.reshape(h * w, -1), data_mask, _end_blocks(field), h * w)
+    values, valid = _sample(data.reshape(h * w, -1), data_mask, _end_source(field), h * w)
     return values.reshape(data.shape), valid.reshape(field.shape)
 
 
@@ -195,8 +201,42 @@ def track(field: FlowField, points) -> tuple[np.ndarray, np.ndarray]:
         vectors = field.vectors
     else:
         vectors = field.masked_vectors()
-    sampled, valid = _sample(vectors.reshape(-1, 2), field.mask, _point_blocks(pts), len(pts))
+    sampled, valid = _sample(vectors.reshape(-1, 2), field.mask, pts.__getitem__, len(pts))
     return pts + sampled, valid
+
+
+def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
+    """Resample a flow to new dimensions, scaling vectors accordingly.
+
+    `scale` is (sy, sx); vectors are bilinearly resampled onto the new
+    grid, x components multiplied by sx and y components by sy. The mask
+    is resampled as floats and thresholded at 0.5.
+    """
+    sy, sx = float(scale[0]), float(scale[1])
+    if not (0 < sy < np.inf and 0 < sx < np.inf):
+        raise FlowError(f"scale factors must be positive and finite, got {(sy, sx)}")
+    h, w = field.shape
+    # A side too long for a float stays unrounded, for the cell budget to refuse.
+    new_h, new_w = (round(n) if n < np.inf else n for n in (h * sy, w * sx))
+    if new_h < 1 or new_w < 1:
+        raise FlowError(f"resize to {(new_h, new_w)} would produce an empty grid")
+    _check_cells(new_h, new_w)
+    if (new_h, new_w) == (h, w) and sy == 1.0 and sx == 1.0:
+        return FlowField(field.masked_vectors(), field.reference, field.mask)
+
+    # Corner-aligned sample positions in the old grid.
+    xs = np.linspace(0.0, w - 1.0, new_w) if new_w > 1 else np.zeros(1)
+    ys = np.linspace(0.0, h - 1.0, new_h) if new_h > 1 else np.zeros(1)
+    gx, gy = np.meshgrid(xs, ys)
+    points = np.column_stack([gx.ravel(), gy.ravel()])
+
+    rows = field.masked_vectors().reshape(h * w, 2)
+    sampled, valid = _sample(rows, field.mask, points.__getitem__, len(points))
+    with np.errstate(over="ignore"):
+        vectors = sampled.reshape(new_h, new_w, 2) * (sx, sy)
+    if not np.isfinite(vectors).all():
+        raise FlowError("resized vectors overflow float64")
+    return FlowField._trusted(vectors, field.reference, valid.reshape(new_h, new_w))
 
 
 def switch_reference(field: FlowField) -> FlowField:
@@ -233,7 +273,7 @@ def valid_target(field: FlowField) -> np.ndarray:
     """
     if field.reference is Reference.TARGET:
         return _lands_in_grid(field)
-    return _splat(_end_blocks(field), np.empty((field.mask.size, 0)), *field.shape)[1]
+    return _splat(_end_source(field), np.empty((field.mask.size, 0)), *field.shape)[1]
 
 
 def valid_source(field: FlowField) -> np.ndarray:

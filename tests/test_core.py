@@ -474,6 +474,10 @@ class TestCellBudget:
         with pytest.raises(FlowError, match="budget"):
             zeros((10**15, 4))
 
+    def test_oversized_splat_raises_before_allocating(self):
+        with pytest.raises(FlowError, match="budget"):
+            grid_from_unstructured_data(np.zeros((1, 2)), [0.0], (10**15, 4))
+
 
 class TestPadUnpad:
     def test_pad_extends_with_invalid_zeros(self):

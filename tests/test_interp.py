@@ -1,4 +1,9 @@
-"""Interpolation kernel tests against hand values and a brute-force oracle."""
+"""Interpolation kernel tests against hand values and a brute-force oracle.
+
+The kernels cut their points into `interp._BLOCK`-point blocks themselves,
+so an oracle that sums block by block cuts the same chunks from the whole
+point array.
+"""
 
 import tracemalloc
 
@@ -19,11 +24,11 @@ def splat_four_pass(positions, values, shape):
     """The splat as four masked corner passes per block into unpadded accumulators.
 
     Kept as an independent bit-for-bit oracle of `grid_from_unstructured_data`.
-    The points are cut into chunks of `interp._BLOCK` (read at call time, so
-    a patched size applies), and each chunk adds its corners (0, 0), (1, 0),
-    (0, 1), (1, 1) in turn with `np.add.at`, which adds in sample order. A
-    `bincount` per chunk and corner would sum the chunk's terms before
-    adding them, which rounds differently.
+    It cuts the points into the splat's chunks of `interp._BLOCK` (read at
+    call time, so a patched size applies), and each chunk adds its corners
+    (0, 0), (1, 0), (0, 1), (1, 1) in turn with `np.add.at`, which adds in
+    sample order. A `bincount` per chunk and corner would sum the chunk's
+    terms before adding them, which rounds differently.
     """
     h, w = shape
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 2)

@@ -1,6 +1,10 @@
 """The public surface: one name per operation, nothing more."""
 
+import ast
+from pathlib import Path
+
 import flowfield
+import flowfield.core
 import flowfield.fileio
 
 
@@ -22,3 +26,15 @@ def test_fileio_has_one_flo_reader_and_writer():
         "FLO_MAGIC", "INVALID_SENTINEL", "load_flow", "read_image", "save_flow",
         "write_image", "write_mask",
     ]
+
+
+def test_core_imports_no_other_flowfield_module():
+    """The data model sits below the kernels: `core` imports nothing else of the package."""
+    tree = ast.parse(Path(flowfield.core.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert not {name for name in imported if name.startswith((".", "flowfield"))}

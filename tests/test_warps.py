@@ -1,14 +1,14 @@
 """The warps against the whole-grid expressions they replaced, bit for bit.
 
-`_push`, `_pull`, `invert`, `switch_reference` and `apply` form far ends one
-kernel block at a time and send dropped cells off the grid. The oracles
-below are whole-grid expressions, kept as `blend_broadcast` is: a far-end
-grid built from `grid_coordinates` and the masked vectors, with dropped
-cells outside the splat's retention band or at -1 for the public sampler,
-and a negated copy of the vectors for `invert`. The splat sums block by
-block, so its bits depend on how the points are cut into blocks; the
-oracle splats the whole far-end grid, which the public splat cuts into
-the same `_BLOCK`-point blocks as the warps.
+`_push`, `_pull`, `invert`, `switch_reference` and `apply` form the far ends
+of the cells each kernel block asks for and send dropped cells off the
+grid. The oracles below are whole-grid expressions, kept as
+`blend_broadcast` is: a far-end grid built from `grid_coordinates` and the
+masked vectors, with dropped cells outside the splat's retention band or at
+-1 for the public sampler, and a negated copy of the vectors for `invert`.
+The splat sums block by block, so its bits depend on the block size; the
+kernels cut the blocks themselves, so the oracle's public splat of the
+whole far-end grid sums exactly as the warps do.
 """
 
 import warnings
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowfield.interp
+import flowfield.ops
 from flowfield import (
     FlowError,
     FlowField,
@@ -150,7 +151,7 @@ class Case:
         self.clean_data = _where_valid(self.data_mask, self.data)
 
     def same(self, got, want):
-        """Both ops run with the case's kernel block size, so both cut the same blocks."""
+        """Both ops run with the case's kernel block size."""
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flowfield.interp, "_BLOCK", self.block)
             return _outcome(got) == _outcome(want)
@@ -225,8 +226,8 @@ class TestWarpsMatchWholeGridOracles:
 class TestPushIsThePublicSplat:
     """`_push` equals the public splat of the whole far-end grid, byte for byte.
 
-    Both cut the cells, in C order with dropped ones off the grid, into the
-    same `_BLOCK`-point blocks, whatever `_BLOCK` is.
+    Both hand the splat the cells in C order, with dropped ones off the
+    grid, and the splat cuts its own blocks, whatever `_BLOCK` is.
     """
 
     @pytest.mark.parametrize("block", [1, 3, 7, None])
@@ -242,6 +243,34 @@ class TestPushIsThePublicSplat:
             return grid_from_unstructured_data(ends, values, c.field.shape)
 
         assert c.same(lambda: _push(c.field, c.junk_data, c.data_mask), public)
+
+
+class TestFarEndCost:
+    """A warp forms at most 3·H·W far ends, whatever `_BLOCK` is.
+
+    A block within one row forms only its own cells. Were every block to
+    form the whole rows it touches, rows wider than a block would cost
+    quadratically in W.
+    """
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "shape", [(1, 40), (5, 40), (9, 4), (3, 17)], ids=lambda hw: "%dx%d" % hw
+    )
+    @pytest.mark.parametrize("op", [switch_reference, invert], ids=lambda op: op.__name__)
+    def test_bounded_by_grid_size(self, op, shape, block, monkeypatch):
+        formed = []
+        far_ends = flowfield.ops._far_ends
+
+        def counted(*args, **kwargs):
+            ends = far_ends(*args, **kwargs)
+            formed.append(ends.size // 2)
+            return ends
+
+        monkeypatch.setattr(flowfield.ops, "_far_ends", counted)
+        monkeypatch.setattr(flowfield.interp, "_BLOCK", block)
+        op(zeros(shape))
+        assert shape[0] * shape[1] <= sum(formed) <= 3 * shape[0] * shape[1]
 
 
 class TestInvertSignOfZero:
