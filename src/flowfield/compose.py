@@ -18,9 +18,12 @@ far ends, whichever way f_ab runs. When f_ab sits on B's grid, the sum is
 warped along f_ab, inverted first if it runs A to B.
 
 No grid-sized copy is made for bookkeeping. A switched operand is already
-zero under its false bits, so it is used as it is. The sum is zeroed in
-place, which makes it the clean data that a pull needs. A warp's output is
-zero under its mask, so it is returned as it is.
+zero under its false bits, so it is used as it is. The sum is the one new
+array: f_ab's stored vectors are scaled into it and the other operand is
+added in place. It is zeroed in place under the combined mask, which
+clears whatever f_ab held under its false bits and makes it the clean data
+that a pull needs. A warp's output is zero under its mask, so it is
+returned as it is.
 """
 
 from __future__ import annotations
@@ -136,15 +139,19 @@ def combine(
         # f_ab's far ends are A's cells seen in B: pull the B-anchored operand there.
         bc_vectors, bc_mask = _pull(f_ab, bc_vectors, bc_mask)
 
-    # Finite operands near the float64 limit can overflow when added; that
-    # is reported here, before a warp would blame the data for it.
-    with np.errstate(over="ignore"):
-        vectors = sign_ab * f_ab.masked_vectors() + sign_bc * bc_vectors
+    # One multiply forms the sum's own array; the other operand is added into
+    # it in place, as x - y is x + (-y) bit for bit. Junk under f_ab's false
+    # bits is zeroed before the scan, and finite operands near the float64
+    # limit can overflow when added: that is reported here, before a warp
+    # would blame the data for it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        vectors = sign_ab * f_ab.vectors
+        (np.add if sign_bc > 0 else np.subtract)(vectors, bc_vectors, out=vectors)
     del bc_vectors  # a switched operand's last reference, gone before the warp
+    mask = f_ab.mask & bc_mask
+    _fill_cells(vectors, ~mask, 0.0)
     if not np.isfinite(vectors).all():
         raise FlowError("composed flow vectors overflow float64")
-    mask = f_ab.mask & bc_mask
-    _fill_cells(vectors, ~mask, 0.0)  # in place: the sum is a fresh array
 
     if not anchored_at_a:
         # The sum still sits on B's grid; carry it onto A's along f_ab. An
@@ -152,12 +159,13 @@ def combine(
         # ends was measured to lose accuracy in modes 1 and 3. The warp's
         # output is zero under its own mask.
         warp = invert(f_ab) if ab_span[0] == a else f_ab
-        carry = _push if warp.reference is Reference.SOURCE else _pull
-        vectors, mask = carry(warp, vectors, mask)
-
-    # The unchecked constructor below relies on this scan: sampling a
-    # near-limit sum can still overflow.
-    if not np.isfinite(vectors).all():
-        raise FlowError("composed flow vectors overflow float64")
+        if warp.reference is Reference.SOURCE:
+            # The splat refuses a non-finite mean itself.
+            vectors, mask = _push(warp, vectors, mask)
+        else:
+            vectors, mask = _pull(warp, vectors, mask)
+            # The unchecked constructor below relies on this scan: sampling
+            # a near-limit sum can still overflow.
+            if not np.isfinite(vectors).all():
+                raise FlowError("composed flow vectors overflow float64")
     return FlowField._trusted(vectors, out_ref, mask)
-

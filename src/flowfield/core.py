@@ -286,7 +286,13 @@ class FlowField:
     __slots__ = ("_vectors", "_reference", "_mask")
 
     def __init__(self, vectors, reference, mask=None):
-        vec = np.asarray(vectors, dtype=np.float64)
+        vec = np.asarray(vectors)
+        if vec.dtype.kind not in "biufO":  # strings, complex, dates: no real vectors
+            raise FlowError(f"vectors must be real numbers, got dtype {vec.dtype}")
+        try:
+            vec = vec.astype(np.float64, copy=False)
+        except (TypeError, ValueError):
+            raise FlowError("vectors must be real numbers") from None
         if vec.ndim != 3 or vec.shape[2] != 2 or vec.shape[0] < 1 or vec.shape[1] < 1:
             raise FlowError(f"vectors must have shape (H, W, 2) with H, W >= 1, got {vec.shape}")
         ref = Reference.parse(reference)
@@ -364,10 +370,12 @@ def _check_cells(h: int, w: int) -> None:
 
 
 def _grid_axes(shape: tuple[int, int], padding) -> tuple[np.ndarray, np.ndarray]:
-    """x (W,) and y (H, 1) coordinate axes of a grid, padded as in `grid_coordinates`."""
-    h, w = int(shape[0]), int(shape[1])
-    if h < 1 or w < 1:
-        raise FlowError(f"grid shape must be at least 1x1, got {shape}")
+    """x (W,) and y (H, 1) coordinate axes of a grid, padded as in `grid_coordinates`.
+
+    This is the one check on a grid shape: both sides must be whole numbers
+    >= 1, else FlowError.
+    """
+    h, w = (_integer(v, 1, f"grid {side}") for side, v in zip(("height", "width"), shape))
     top, bottom, left, right = (0, 0, 0, 0) if padding is None else _padding(padding)
     _check_cells(h + top + bottom, w + left + right)
     xs = np.arange(-left, w + right, dtype=np.float64)
@@ -392,9 +400,8 @@ def grid_coordinates(shape: tuple[int, int], padding=None) -> np.ndarray:
 
 def zeros(shape: tuple[int, int], reference: Reference | str = Reference.SOURCE) -> FlowField:
     """All-zero flow (the identity mapping) with an all-true mask."""
-    h, w = int(shape[0]), int(shape[1])
-    _check_cells(h, w)
-    return FlowField(np.zeros((h, w, 2)), reference)
+    xs, ys = _grid_axes(shape, None)
+    return FlowField(np.zeros((ys.size, xs.size, 2)), reference)
 
 
 def from_matrix(

@@ -20,7 +20,9 @@ Every reader rejects malformed bytes with FlowError.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import struct
 from pathlib import Path
 
@@ -95,11 +97,17 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
             raise FlowError(f"{path}: bad .flo magic {magic!r}")
         if not (0 < w <= MAX_DIM and 0 < h <= MAX_DIM):
             raise FlowError(f"{path}: implausible .flo dims {w}x{h}")
-        # Read what the file holds, not the size its header claims.
-        payload = fh.read()
-    if len(payload) < h * w * 2 * 4:
+        # The header's size is only a claim: a regular file must hold that
+        # many bytes before any is read, and nothing past them is read. A
+        # pipe has no size to check; its read stops where the pipe ends.
+        size = h * w * 2 * 4
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < size:
+            raise FlowError(f"{path}: truncated .flo payload")
+        payload = fh.read(size)
+    if len(payload) < size:
         raise FlowError(f"{path}: truncated .flo payload")
-    data = np.frombuffer(payload, "<f4", h * w * 2).reshape(h, w, 2)
+    data = np.frombuffer(payload, "<f4").reshape(h, w, 2)
     # The sentinel is exact in float32, so the payload is compared as read.
     mask = (data[..., 0] != INVALID_SENTINEL) | (data[..., 1] != INVALID_SENTINEL)
     vectors = _where_valid(mask, data).astype(np.float64)  # zero on invalid cells

@@ -14,10 +14,13 @@ inputs.
 
 `_far_ends` has one rule: cells outside the kept ones, the field's valid
 cells by default, go to `interp._OFF_GRID`, where both kernels drop them.
-Only `apply` takes caller data, through the public kernels, which check it.
-Everything the library holds goes through `interp._sample` and
-`interp._splat`, with no copy and no scan; `_push` and `_pull` feed them
-the far ends of just the cells each kernel block asks for.
+It returns the far ends as two contiguous float64 planes, x and y, which
+is the form the kernels read. Only `apply` takes caller data, through the
+public kernels, which check it; it stacks the planes into the (N, 2)
+points they take. Everything the library holds goes through
+`interp._sample` and `interp._splat`, with no copy and no scan; `_push`
+and `_pull` feed them the far-end planes of just the cells each kernel
+block asks for.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .core import (
     FlowField,
     Reference,
     _check_cells,
-    _fill_cells,
     _points,
     _where_valid,
     grid_coordinates,
@@ -41,6 +43,7 @@ from .interp import (
     _OFF_GRID,
     OUT_OF_BOUNDS_TOL,
     _channels_last,
+    _columns,
     _in_bounds,
     _sample,
     _splat,
@@ -62,40 +65,44 @@ __all__ = [
 ]
 
 
-def _far_ends(field: FlowField, rows=slice(None), cols=slice(None), kept=None) -> np.ndarray:
-    """(rows, cols, 2) far ends x +- v_x, y +- v_y of the cells the slices pick out.
+def _far_ends(field: FlowField, rows=slice(None), cols=slice(None), kept=None):
+    """Far ends x +- v_x and y +- v_y of the cells the slices pick out, as two planes.
 
-    Cells outside `kept`, the field's mask by default, go to `_OFF_GRID`,
-    and whatever their vectors hold never reaches a kernel.
+    Returns contiguous float64 (rows, cols) planes of x and of y. Cells
+    outside `kept`, the field's mask by default, go to `_OFF_GRID`, and
+    whatever their vectors hold never reaches a kernel.
     """
     h, w = field.shape
     vectors = field.vectors[rows, cols]
     mask = (field.mask if kept is None else kept)[rows, cols]
     step = np.add if field.reference is Reference.SOURCE else np.subtract
-    ends = np.empty(vectors.shape)
+    ends = np.empty((2, *mask.shape))
     with np.errstate(invalid="ignore"):  # a signalling NaN under a false bit
-        step(np.arange(w, dtype=np.float64)[cols], vectors[..., 0], out=ends[..., 0])
-        step(np.arange(h, dtype=np.float64)[rows, None], vectors[..., 1], out=ends[..., 1])
+        step(np.arange(w, dtype=np.float64)[cols], vectors[..., 0], out=ends[0])
+        step(np.arange(h, dtype=np.float64)[rows, None], vectors[..., 1], out=ends[1])
     if not mask.all():
-        _fill_cells(ends, ~mask, _OFF_GRID)
-    return ends
+        np.copyto(ends, _OFF_GRID, where=~mask)
+    return ends[0], ends[1]
 
 
 def _end_source(field: FlowField, kept=None):
-    """A warp's point source: the (k, 2) far ends of a slice of cells in C order.
+    """A warp's point source: the (x, y) far-end planes of a slice of cells in C order.
 
     A slice within one row forms only its own cells; any other forms the
-    whole rows it touches and cuts its cells from them.
+    whole rows it touches and cuts its cells from the planes.
     """
     w = field.shape[1]
 
-    def ends(block: slice) -> np.ndarray:
+    def ends(block: slice):
         row, col = divmod(block.start, w)
         size = block.stop - block.start
         if col + size <= w:
-            return _far_ends(field, slice(row, row + 1), slice(col, col + size), kept)[0]
+            x, y = _far_ends(field, slice(row, row + 1), slice(col, col + size), kept)
+            return x[0], y[0]
         rows = slice(row, (block.stop - 1) // w + 1)
-        return _far_ends(field, rows, slice(None), kept).reshape(-1, 2)[col : col + size]
+        cut = slice(col, col + size)
+        x, y = _far_ends(field, rows, slice(None), kept)
+        return x.reshape(-1)[cut], y.reshape(-1)[cut]
 
     return ends
 
@@ -162,10 +169,10 @@ def apply(field: FlowField, data, data_mask=None):
         kept = field.mask & dmask
         # Only a non-finite value needs the clean copy; the splat drops the rest.
         values = arr if np.isfinite(arr).all() else _where_valid(kept, arr)
-        ends = _far_ends(field, kept=kept).reshape(-1, 2)
+        ends = np.stack(_far_ends(field, kept=kept), axis=-1).reshape(-1, 2)
         warped, mask = grid_from_unstructured_data(ends, values.reshape(h * w, -1), (h, w))
     else:
-        ends = _far_ends(field).reshape(-1, 2)
+        ends = np.stack(_far_ends(field), axis=-1).reshape(-1, 2)
         warped, valid = masked_bilinear_sample(arr, dmask, ends)
         warped, mask = warped.reshape(arr.shape), valid.reshape(h, w)
     if squeeze:
@@ -201,7 +208,7 @@ def track(field: FlowField, points) -> tuple[np.ndarray, np.ndarray]:
         vectors = field.vectors
     else:
         vectors = field.masked_vectors()
-    sampled, valid = _sample(vectors.reshape(-1, 2), field.mask, pts.__getitem__, len(pts))
+    sampled, valid = _sample(vectors.reshape(-1, 2), field.mask, _columns(pts), len(pts))
     return pts + sampled, valid
 
 
@@ -227,11 +234,10 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     # Corner-aligned sample positions in the old grid.
     xs = np.linspace(0.0, w - 1.0, new_w) if new_w > 1 else np.zeros(1)
     ys = np.linspace(0.0, h - 1.0, new_h) if new_h > 1 else np.zeros(1)
-    gx, gy = np.meshgrid(xs, ys)
-    points = np.column_stack([gx.ravel(), gy.ravel()])
+    x, y = (plane.ravel() for plane in np.meshgrid(xs, ys))
 
     rows = field.masked_vectors().reshape(h * w, 2)
-    sampled, valid = _sample(rows, field.mask, points.__getitem__, len(points))
+    sampled, valid = _sample(rows, field.mask, lambda block: (x[block], y[block]), x.size)
     with np.errstate(over="ignore"):
         vectors = sampled.reshape(new_h, new_w, 2) * (sx, sy)
     if not np.isfinite(vectors).all():
@@ -261,8 +267,7 @@ def invert(field: FlowField) -> FlowField:
 
 def _lands_in_grid(field: FlowField) -> np.ndarray:
     """Valid cells whose far end lies on the grid, within `OUT_OF_BOUNDS_TOL`."""
-    ends = _far_ends(field)
-    return _in_bounds(ends[..., 0], ends[..., 1], *field.shape)
+    return _in_bounds(*_far_ends(field), *field.shape)
 
 
 def valid_target(field: FlowField) -> np.ndarray:
@@ -297,7 +302,7 @@ def get_padding(field: FlowField) -> tuple[int, int, int, int]:
     All-invalid flows need no padding.
     """
     h, w = field.shape
-    x, y = np.moveaxis(_far_ends(field), 2, 0)
+    x, y = _far_ends(field)
 
     def overhang(amount: float) -> int:
         return max(0, math.ceil(float(amount) - OUT_OF_BOUNDS_TOL))
@@ -327,7 +332,7 @@ def fit_matrix(field: FlowField) -> tuple[AffineTransform, float]:
     if np.count_nonzero(field.mask) < 3:
         raise FlowError("matrix fit needs at least 3 valid cells")
     grid = grid_coordinates(field.shape)[field.mask]
-    ends = _far_ends(field)[field.mask]
+    ends = np.column_stack([plane[field.mask] for plane in _far_ends(field)])
     src, dst = (grid, ends) if field.reference is Reference.SOURCE else (ends, grid)
     too_large = "matrix fit is ill-conditioned (start points on a line or too large)"
     # Overflow near the float64 limit is reported below, not warned about.

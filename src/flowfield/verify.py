@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compose import _SPANS, ComposeMode, combine
-from .core import _STEP_ARITY, AffineTransform, FlowError, Reference, from_matrix
+from .core import _STEP_ARITY, AffineTransform, FlowError, Reference, _integer, from_matrix
 
 __all__ = ["AccuracyReport", "run_trials", "random_transform"]
 
@@ -145,15 +145,15 @@ def run_trials(
 ) -> AccuracyReport:
     """Run randomized composition trials for one mode and pool the errors.
 
-    Raises FlowError for a negative seed, and when no trial left a valid
-    vector to compare: an empty comparison has no accuracy to report.
+    Raises FlowError unless `trials` is a whole number >= 1 and `seed` one
+    >= 0, and when no trial left a valid vector to compare: an empty
+    comparison has no accuracy to report.
     """
     mode = ComposeMode(mode)
-    if trials < 1:
-        raise FlowError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
+    trials = _integer(trials, 1, "trials")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
         raise FlowError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, 0, "seed"))
 
     n_total = 0
     err_sum = 0.0
@@ -172,20 +172,23 @@ def run_trials(
         f_first = from_matrix(first, size, _random_reference(rng))
         f_second = from_matrix(second, size, _random_reference(rng))
         computed = combine(f_first, f_second, mode, ref_out)
+        del f_first, f_second
         truth = from_matrix(unknown, size, ref_out)
 
-        # One flat-row gather per operand; boolean indexing of (H, W, 2) is slower.
-        cells = computed.mask.ravel()
-        truth_valid = np.compress(cells, truth.vectors.reshape(-1, 2), axis=0)
-        diff = np.compress(cells, computed.vectors.reshape(-1, 2), axis=0) - truth_valid
-        err = np.hypot(diff[:, 0], diff[:, 1])
+        # One difference plane and its error plane, formed on the valid cells
+        # only; the statistics read their errors, in C order, selected from it.
+        cells = computed.mask
+        diff = computed.vectors - truth.vectors
+        plane = np.empty(cells.shape)
+        err = np.hypot(*np.moveaxis(diff, 2, 0), out=plane, where=cells)[cells]
         n_total += err.size
         if err.size:
             err_sum += float(err.sum())
             err_max = max(err_max, float(err.max()))
             n_abs_005 += int(np.count_nonzero(err < 0.05))
             n_abs_0005 += int(np.count_nonzero(err < 0.005))
-            true_mag = np.hypot(truth_valid[:, 0], truth_valid[:, 1])
+            # `err` is a copy, so the plane is free for the true magnitudes.
+            true_mag = np.hypot(*np.moveaxis(truth.vectors, 2, 0), out=plane, where=cells)[cells]
             eligible = true_mag >= REL_ERROR_MIN_MAGNITUDE
             rel = err[eligible] / true_mag[eligible]
             n_rel += rel.size

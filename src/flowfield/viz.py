@@ -116,11 +116,11 @@ def render_arrows(field: FlowField, stride: int = 1) -> np.ndarray:
     stride = min(_integer(stride, 1, "stride"), 2 * max(field.shape))
     image = np.full((*field.shape, 3), 255, dtype=np.uint8)
     lattice = slice(stride // 2, None, stride)
-    drawn = np.argwhere(field.mask[lattice, lattice])
-    ends = np.round(_far_ends(field, lattice, lattice)[drawn[:, 0], drawn[:, 1]])
-    cells = drawn * stride + stride // 2
+    kept = field.mask[lattice, lattice]
+    end_x, end_y = (np.round(plane[kept]).tolist() for plane in _far_ends(field, lattice, lattice))
+    cells = np.argwhere(kept) * stride + stride // 2
     source = field.reference is Reference.SOURCE
-    for (gy, gx), (ex, ey) in zip(cells.tolist(), ends.tolist()):
+    for (gy, gx), ex, ey in zip(cells.tolist(), end_x, end_y):
         cell, far = (gx, gy), (int(ex), int(ey))
         start, end = (cell, far) if source else (far, cell)
         _draw_line(image, *start, *end, ARROW_COLOR)

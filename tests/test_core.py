@@ -96,6 +96,17 @@ class TestFlowField:
         with pytest.raises(FlowError):
             FlowField(np.zeros(shape), "s")
 
+    @pytest.mark.parametrize(
+        "vectors",
+        [np.full((2, 3, 2), "a"), np.full((2, 3, 2), "1.5"), np.ones((2, 3, 2), complex)],
+        ids=["letters", "numeric-strings", "complex"],
+    )
+    def test_non_real_vectors_rejected(self, vectors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(FlowError, match="real numbers"):
+                FlowField(vectors, "s")
+
 
 # Bit patterns a select must carry through untouched: -0.0, a quiet NaN with
 # a payload, a signalling NaN, -inf, the smallest subnormal and the largest float.
@@ -172,6 +183,35 @@ PADDING_CALLERS = {
     "from_matrix": lambda p: from_matrix(AffineTransform.identity(), (4, 5), "s", p),
     "from_transforms": lambda p: from_transforms([], (4, 5), "t", padding=p),
 }
+
+
+# Every function that takes a grid shape.
+SHAPE_CALLERS = {
+    "zeros": lambda shape: zeros(shape),
+    "grid_coordinates": lambda shape: grid_coordinates(shape),
+    "from_matrix": lambda shape: from_matrix(AffineTransform.identity(), shape, "s"),
+    "from_transforms": lambda shape: from_transforms([], shape, "t"),
+    "grid_from_unstructured_data": lambda shape: grid_from_unstructured_data(
+        np.zeros((1, 2)), np.zeros((1, 2)), shape
+    )[0],
+}
+
+
+class TestGridShape:
+    @pytest.mark.parametrize(
+        "bad",
+        [(-1, 3), (0, 3), (3, 0), (2.5, 3), (2.9, 3), (3, 2.9), (math.nan, 3), (3, math.inf)],
+        ids=["negative", "zero-height", "zero-width", "fraction", "near-3", "fraction-width",
+             "nan", "inf"],
+    )
+    @pytest.mark.parametrize("caller", SHAPE_CALLERS)
+    def test_every_entry_point_rejects(self, caller, bad):
+        with pytest.raises(FlowError, match="grid (height|width) must be an integer >= 1"):
+            SHAPE_CALLERS[caller](bad)
+
+    @pytest.mark.parametrize("caller", SHAPE_CALLERS)
+    def test_integer_valued_floats_accepted(self, caller):
+        assert SHAPE_CALLERS[caller]((2.0, np.int64(3))).shape[:2] == (2, 3)
 
 
 class TestPadding:

@@ -1,8 +1,11 @@
 """File interchange tests: .flo bytes, sidecars, pixmaps."""
 
+import os
 import struct
 import tempfile
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +155,36 @@ class TestFloFormat:
         path.write_bytes(struct.pack("<fii", FLO_MAGIC, 65535, 65535) + b"\0" * 64)
         with pytest.raises(FlowError, match="truncated"):
             load_flow(path)
+
+    def test_tail_past_the_payload_is_not_read(self, tmp_path):
+        # A 2x2 field followed by a 64 MiB sparse tail: only the 32 payload
+        # bytes are read, not the rest of the file.
+        path = tmp_path / "tail.flo"
+        save_flow(path, FlowField(np.arange(8.0).reshape(2, 2, 2), "t"))
+        with open(path, "r+b") as fh:
+            fh.truncate(1 << 26)
+        tracemalloc.start()
+        try:
+            field = load_flow(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(field.vectors, np.arange(8.0).reshape(2, 2, 2))
+        assert peak < 1 << 20
+
+    def test_pipe_has_no_size_to_check(self, tmp_path):
+        # A pipe reports size 0, so only a regular file's size is checked.
+        saved = tmp_path / "saved.flo"
+        save_flow(saved, FlowField(np.arange(8.0).reshape(2, 2, 2), "t"))
+        pipe = tmp_path / "pipe.flo"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(saved.read_bytes()))
+        writer.start()
+        try:
+            field = load_flow(pipe, "t")
+        finally:
+            writer.join()
+        assert np.array_equal(field.vectors, np.arange(8.0).reshape(2, 2, 2))
 
     def test_oversized_field_refused_on_write(self, tmp_path):
         wide = zeros((1, 65536))

@@ -226,13 +226,38 @@ class TestBlendPerChannel:
             rows[rng.uniform(size=rows.shape) < 0.2] = -0.0
         points = rng.uniform(-1.0, (w, h), size=(2000, 2))
         points[:200] = rng.integers((0, 0), (w, h), size=(200, 2))  # on the lattice
-        index, weight, _ = _corners(_points(points), h, w)
+        x, y = _points(points).T.copy()  # the planes a point source hands over
+        index, weight, _ = _corners(x, y, h, w)
         got = _blend(rows, index, weight)
         want = blend_broadcast(rows, index, weight)
         if channels is None:
             want = want[:, 0]
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestSplatChannelPairs:
+    """The splat sums channels in complex pairs, each channel bit for bit as it sums alone.
+
+    Alone, a channel takes the splat's float64 row. In a pair, its products
+    are real ones written into one part of a complex row, and a complex add
+    adds the parts separately, so neither part reads the other.
+    """
+
+    @pytest.mark.parametrize("channels", [2, 3, 4])
+    def test_same_bits_as_each_channel_alone(self, channels):
+        rng = np.random.default_rng(channels)
+        h, w = 9, 11
+        n = _BLOCK + 500  # two blocks
+        positions = rng.uniform(-1.5, (w + 0.5, h + 0.5), (n, 2))
+        positions[:300] = rng.integers((0, 0), (w, h), (300, 2))  # on the lattice
+        values = rng.normal(size=(n, channels)) * rng.choice([1e-310, 1e-3, 1.0], (n, channels))
+        values[rng.uniform(size=values.shape) < 0.3] = -0.0
+        got, mask = grid_from_unstructured_data(positions, values, (h, w))
+        for c in range(channels):
+            alone, alone_mask = grid_from_unstructured_data(positions, values[:, c], (h, w))
+            assert np.array_equal(alone_mask, mask)
+            assert got[..., c].tobytes() == alone.tobytes()
 
 
 class TestSignOfZero:

@@ -108,7 +108,7 @@ class TestFarEnds:
     def test_one_rule(self, reference, narrower, rows, cols):
         field = junk_field(reference, seed=6, valid_share=0.6)
         kept = field.mask & (np.random.default_rng(7).random(SHAPE) < 0.7) if narrower else None
-        ends = _far_ends(field, rows, cols, kept)
+        ends = np.stack(_far_ends(field, rows, cols, kept), axis=-1)
 
         gy, gx = np.mgrid[: SHAPE[0], : SHAPE[1]].astype(np.float64)
         vectors = field.vectors[rows, cols]
@@ -120,3 +120,71 @@ class TestFarEnds:
         assert ends.shape == vectors.shape
         assert np.array_equal(ends[on].view(np.int64), expected[on].view(np.int64))
         assert (ends[~on] == _OFF_GRID).all()
+
+
+PLANE_OPS = {
+    "track": lambda f: track(f, POINTS),
+    "resize": lambda f: resize(f, (1.7, 0.6)),
+    # Only a target flow's valid source and a source flow's valid target splat.
+    "valid_source": lambda f: valid_source(junk_field("t", seed=8)),
+    "valid_target": lambda f: valid_target(junk_field("s", seed=8)),
+    "switch_reference": switch_reference,
+    "invert": invert,
+    "apply": lambda f: flowfield.ops.apply(f, np.ones((*SHAPE, 3)), f.mask),
+    "combine-1": lambda f: combine(f, junk_field("t", seed=9), 1, "s"),
+    "combine-2": lambda f: combine(junk_field("s", seed=9), f, 2, "t"),
+    "combine-3": lambda f: combine(f, junk_field("s", seed=9), 3, "t"),
+    "masked_bilinear_sample": lambda f: flowfield.interp.masked_bilinear_sample(
+        f.vectors, f.mask, POINTS
+    ),
+    "grid_from_unstructured_data": lambda f: flowfield.interp.grid_from_unstructured_data(
+        POINTS, POINTS, SHAPE
+    ),
+}
+
+
+class TestPointSourcesHandOverPlanes:
+    """Every point source hands the kernels C-contiguous float64 (k,) planes of x and y.
+
+    The kernels read each coordinate many times per block. Read through
+    strided views of an interleaved (k, 2) array, those reads cost several
+    times as much, so a refactor must not bring them back unnoticed.
+    """
+
+    @pytest.fixture
+    def sources_seen(self, monkeypatch):
+        seen = []
+
+        def checked(points):
+            def source(block):
+                planes = points(block)
+                assert len(planes) == 2
+                for plane in planes:
+                    assert plane.dtype == np.float64 and plane.shape == (block.stop - block.start,)
+                    assert plane.flags.c_contiguous
+                seen.append(block)
+                return planes
+
+            return source
+
+        sample, splat = flowfield.interp._sample, flowfield.interp._splat
+
+        def checked_sample(rows, mask, points, n):
+            return sample(rows, mask, checked(points), n)
+
+        def checked_splat(points, vals, h, w, negate=False):
+            return splat(checked(points), vals, h, w, negate)
+
+        for module in (flowfield.ops, flowfield.interp):
+            monkeypatch.setattr(module, "_sample", checked_sample)
+            monkeypatch.setattr(module, "_splat", checked_splat)
+        return seen
+
+    @pytest.mark.parametrize("block", [7, 40, None], ids=["7", "40", "default"])
+    @pytest.mark.parametrize("reference", REFERENCES)
+    @pytest.mark.parametrize("op", list(PLANE_OPS))
+    def test_planes(self, sources_seen, monkeypatch, op, reference, block):
+        if block is not None:
+            monkeypatch.setattr(flowfield.interp, "_BLOCK", block)
+        PLANE_OPS[op](junk_field(reference, seed=8))
+        assert sources_seen

@@ -80,6 +80,11 @@ class TestRunTrials:
         with pytest.raises(FlowError):
             run_trials(3, 0)
 
+    @pytest.mark.parametrize("trials", [1.5, "3", None])
+    def test_trials_that_are_not_whole_numbers_rejected(self, trials):
+        with pytest.raises(FlowError, match="trials must be an integer >= 1"):
+            run_trials(3, trials)
+
     @pytest.mark.parametrize("mode", [0, 4, "all"])
     def test_invalid_mode_rejected(self, mode):
         with pytest.raises(FlowError, match="mode must be 1, 2 or 3"):
@@ -93,6 +98,11 @@ class TestRunTrials:
     def test_negative_seed_rejected(self):
         with pytest.raises(FlowError, match="seed must be >= 0"):
             run_trials(3, 1, (10, 12), seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, -0.5, "7", None])
+    def test_seed_that_is_not_a_whole_number_rejected(self, seed):
+        with pytest.raises(FlowError, match="seed must be an integer >= 0"):
+            run_trials(3, 1, (10, 12), seed=seed)
 
     def test_empty_comparison_rejected(self, monkeypatch):
         # A run whose composed flows are all invalid compared nothing, so it
