@@ -9,7 +9,9 @@ new instances.
 Scattered points are plain float64 (N, 2) arrays of (x, y) pixel
 coordinates; every function that takes points checks them through
 `_points` (finite, shape (N, 2)). Padding is a plain (top, bottom, left,
-right) sequence of non-negative integers, checked by `_padding`.
+right) sequence of non-negative integers, checked by `_padding`. Numbers
+from outside the program become float64 through `_real`, which refuses
+strings and complex values.
 """
 
 from __future__ import annotations
@@ -107,14 +109,31 @@ def _padding(value) -> tuple[int, int, int, int]:
     return tuple(_integer(v, 0, f"padding {side}") for side, v in zip(sides, values))
 
 
+def _real(values, name: str, copy: bool = False) -> np.ndarray:
+    """`values` as a float64 array; a fresh C-ordered one if `copy`, else float64 is not copied.
+
+    This is the one check that numbers arriving from outside the program
+    are real: strings, complex values, dates and objects that do not
+    convert raise FlowError, before numpy can parse a string or drop an
+    imaginary part.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biufO":
+        raise FlowError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    try:
+        return arr.astype(np.float64, order="C" if copy else "K", copy=copy)
+    except (TypeError, ValueError):
+        raise FlowError(f"{name} must be real numbers") from None
+
+
 def _points(points) -> np.ndarray:
     """Point coordinates as a float64 (N, 2) array, without copying one.
 
     This is the one check on points arriving from outside the program:
-    empty input becomes (0, 2); another shape or a non-finite coordinate
-    raises FlowError.
+    empty input becomes (0, 2); non-real values, another shape or a
+    non-finite coordinate raise FlowError.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _real(points, "points")
     if pts.size == 0:
         pts = pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -141,6 +160,8 @@ def _where_valid(mask: np.ndarray, data) -> np.ndarray:
     Data shaped like the mask is one channel per cell.
     """
     data = np.asarray(data)
+    if not data.size:  # no cells or no channels: nothing to zero
+        return data.copy()
     cells = _cells(data[..., None] if data.shape == mask.shape else data)
     return np.where(mask, cells, np.zeros((), cells.dtype)).view(data.dtype).reshape(data.shape)
 
@@ -152,6 +173,8 @@ def _fill_cells(data: np.ndarray, where: np.ndarray, value: float) -> None:
     cells. `data` must be a writable C-contiguous array; viewing anything
     else raises.
     """
+    if not data.size:  # no cells or no channels: nothing to fill
+        return
     cell_type = np.dtype((np.void, data.itemsize * data.shape[-1]))
     cell = np.full(data.shape[-1], value, data.dtype).view(cell_type)[0]
     data.view(cell_type)[..., 0][where] = cell
@@ -167,7 +190,7 @@ class AffineTransform:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.float64)
+        m = _real(matrix, "transform matrix")
         if m.shape != (3, 3):
             raise FlowError(f"transform matrix must be 3x3, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -286,13 +309,7 @@ class FlowField:
     __slots__ = ("_vectors", "_reference", "_mask")
 
     def __init__(self, vectors, reference, mask=None):
-        vec = np.asarray(vectors)
-        if vec.dtype.kind not in "biufO":  # strings, complex, dates: no real vectors
-            raise FlowError(f"vectors must be real numbers, got dtype {vec.dtype}")
-        try:
-            vec = vec.astype(np.float64, copy=False)
-        except (TypeError, ValueError):
-            raise FlowError("vectors must be real numbers") from None
+        vec = _real(vectors, "vectors", copy=True)  # caller edits do not leak in
         if vec.ndim != 3 or vec.shape[2] != 2 or vec.shape[0] < 1 or vec.shape[1] < 1:
             raise FlowError(f"vectors must have shape (H, W, 2) with H, W >= 1, got {vec.shape}")
         ref = Reference.parse(reference)
@@ -306,7 +323,6 @@ class FlowField:
         # A scan of the whole array is cheap; gather the valid cells only when it fails.
         if not np.isfinite(vec).all() and not np.isfinite(vec[m]).all():
             raise FlowError("non-finite vector components inside the valid mask")
-        vec = vec.copy()
         vec.flags.writeable = False
         m.flags.writeable = False
         self._vectors = vec

@@ -26,13 +26,17 @@ those of the broadcast form, bit for bit.
 Each kernel asks a point source, `points(block) -> (x, y)`, for the points
 of each block, a slice of the point indices: two C-contiguous float64
 planes of k coordinates each, so every stencil reads its coordinates
-without a stride. Caller data goes through the public functions, which
-check it and hand over slices of contiguous copies of its two columns
-(`_columns`). Everything the library holds goes through the private
-entries, with no copy and no scan: `_sample` takes rows that are finite
-and zero on invalid cells, and `_splat` takes any value for a sample it
-drops. The warps in `ops` pass a source that forms the far-end planes of
-just the asked-for cells, with the cells they drop at `_OFF_GRID`.
+without a stride. The public functions hand over slices of contiguous
+copies of their points' two columns (`_columns`); the warps in `ops` pass a
+source that forms the far-end planes of just the asked-for cells, with the
+cells they drop at `_OFF_GRID`.
+
+Caller data is checked once, where it enters: at a public function, or at
+`ops.apply`. Grid data to be sampled goes through `_clean`, which zeroes a
+copy under false mask bits and scans the rest for non-finite values. The
+private entries then take data with no copy and no scan: `_sample` takes
+rows that are finite and zero on invalid cells, and `_splat` takes any
+value for a sample it drops.
 
 The splat sums into one accumulator, over the grid plus a border (two
 cells before, three after) that holds every corner once each sample's cell
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, _fill_cells, _grid_axes, _points, _where_valid
+from .core import FlowError, _fill_cells, _grid_axes, _points, _real, _where_valid
 
 __all__ = [
     "MASK_SAMPLE_THRESHOLD",
@@ -104,7 +108,7 @@ def _grid_rows(grid) -> tuple[np.ndarray, int, int, bool]:
 
     Returns the rows, H, W and whether a channel axis was added.
     """
-    data, squeeze = _channels_last(np.asarray(grid, dtype=np.float64))
+    data, squeeze = _channels_last(_real(grid, "grid"))
     h, w, n_channels = data.shape
     if h < 1 or w < 1:
         raise FlowError("grid must be non-empty")
@@ -235,6 +239,18 @@ def _sample(rows: np.ndarray, mask: np.ndarray, points, n: int):
     return values, valid
 
 
+def _clean(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Checked float64 caller data, zero under the false bits of its (H, W) `mask`.
+
+    A partial mask zeroes a copy; a full one returns `data` itself. Raises
+    FlowError when a valid cell holds a non-finite value.
+    """
+    clean = data if mask.all() else _where_valid(mask, data)
+    if not np.isfinite(clean).all():
+        raise FlowError("data must be finite on valid cells")
+    return clean
+
+
 def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     """Sample partially-valid grid data, ignoring invalid cells.
 
@@ -250,14 +266,11 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
 
     Data on valid cells must be finite; invalid cells may hold anything.
     """
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _real(data, "data")
     valid_cells = np.asarray(mask).astype(bool)
     if valid_cells.shape != arr.shape[:2]:
         raise FlowError(f"mask shape {valid_cells.shape} does not match data {arr.shape[:2]}")
-    clean = arr if valid_cells.all() else _where_valid(valid_cells, arr)
-    if not np.isfinite(clean).all():
-        raise FlowError("data must be finite on valid cells")
-    rows, _, _, squeeze = _grid_rows(clean)
+    rows, _, _, squeeze = _grid_rows(_clean(arr, valid_cells))
     pts = _points(points)
     values, valid = _sample(rows, valid_cells, _columns(pts), len(pts))
     if squeeze:
@@ -372,7 +385,7 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     xs, ys = _grid_axes(shape, None)
     h, w = ys.size, xs.size
     pts = _points(positions)
-    vals = np.asarray(values, dtype=np.float64)
+    vals = _real(values, "values")
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]

@@ -15,12 +15,16 @@ inputs.
 `_far_ends` has one rule: cells outside the kept ones, the field's valid
 cells by default, go to `interp._OFF_GRID`, where both kernels drop them.
 It returns the far ends as two contiguous float64 planes, x and y, which
-is the form the kernels read. Only `apply` takes caller data, through the
-public kernels, which check it; it stacks the planes into the (N, 2)
-points they take. Everything the library holds goes through
-`interp._sample` and `interp._splat`, with no copy and no scan; `_push`
-and `_pull` feed them the far-end planes of just the cells each kernel
-block asks for.
+is the form the kernels read. `_push` and `_pull` feed `interp._splat` and
+`interp._sample` the far-end planes of just the cells each kernel block
+asks for, with no copy and no scan of the data.
+
+Only `apply` takes caller data, and it checks that data once. A target
+flow checks it with `interp._clean`, as `masked_bilinear_sample` does, and
+pulls it through `_pull`. A source flow hands it, with the far-end planes
+stacked into (N, 2) points, to the public splat, which checks it; no
+kernel rule keeps it there, only `perfbench`'s traced `cli-pipeline` run,
+which counts the public splat's calls.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .core import (
     Reference,
     _check_cells,
     _points,
+    _real,
     _where_valid,
     grid_coordinates,
 )
@@ -43,12 +48,12 @@ from .interp import (
     _OFF_GRID,
     OUT_OF_BOUNDS_TOL,
     _channels_last,
+    _clean,
     _columns,
     _in_bounds,
     _sample,
     _splat,
     grid_from_unstructured_data,
-    masked_bilinear_sample,
 )
 
 __all__ = [
@@ -124,11 +129,11 @@ def _pull(field: FlowField, data: np.ndarray, data_mask: np.ndarray):
     """Sample clean (H, W, C) `data` at each cell's far end; returns values and mask.
 
     The caller guarantees that the data is finite and zero under false
-    `data_mask` bits (a warp's output or a checked and zeroed sum), so the
-    sampler needs no clean copy and no scan. Cells where the sample (see
-    `masked_bilinear_sample`) or the field is invalid come back zero and
-    mask-false: the field's invalid cells are sampled off the grid, so the
-    sampler's own zeroing covers them.
+    `data_mask` bits (a warp's output, a checked and zeroed sum, or caller
+    data through `interp._clean`), so the sampler needs no copy and no
+    scan. Cells where the sample (see `masked_bilinear_sample`) or the
+    field is invalid come back zero and mask-false: the field's invalid
+    cells are sampled off the grid, so the sampler's own zeroing covers them.
     """
     h, w = field.shape
     values, valid = _sample(data.reshape(h * w, -1), data_mask, _end_source(field), h * w)
@@ -155,8 +160,7 @@ def apply(field: FlowField, data, data_mask=None):
     mask : ndarray of bool, shape (H, W)
         False where the output is undefined; such cells are zero.
     """
-    arr = np.asarray(data, dtype=np.float64)
-    arr, squeeze = _channels_last(arr)
+    arr, squeeze = _channels_last(_real(data, "data"))
     h, w = field.shape
     if arr.shape[:2] != (h, w):
         raise FlowError(f"data dims {arr.shape[:2]} do not match flow dims {(h, w)}")
@@ -164,7 +168,7 @@ def apply(field: FlowField, data, data_mask=None):
     if dmask.shape != (h, w):
         raise FlowError(f"data_mask shape {dmask.shape} does not match flow dims {(h, w)}")
 
-    # Caller data goes through the public kernels, which check it.
+    # Caller data is checked once: by the public splat, or by `_clean` for the pull.
     if field.reference is Reference.SOURCE:
         kept = field.mask & dmask
         # Only a non-finite value needs the clean copy; the splat drops the rest.
@@ -172,9 +176,7 @@ def apply(field: FlowField, data, data_mask=None):
         ends = np.stack(_far_ends(field, kept=kept), axis=-1).reshape(-1, 2)
         warped, mask = grid_from_unstructured_data(ends, values.reshape(h * w, -1), (h, w))
     else:
-        ends = np.stack(_far_ends(field), axis=-1).reshape(-1, 2)
-        warped, valid = masked_bilinear_sample(arr, dmask, ends)
-        warped, mask = warped.reshape(arr.shape), valid.reshape(h, w)
+        warped, mask = _pull(field, _clean(arr, dmask), dmask)
     if squeeze:
         warped = warped[..., 0]
     return warped, mask
@@ -374,7 +376,7 @@ def map_vectors(field: FlowField, func) -> FlowField:
     array of the same shape (e.g. ``lambda v: v ** 3``). Producing
     non-finite values on valid cells is an error; invalid cells come back zero.
     """
-    out = np.asarray(func(field.masked_vectors()), dtype=np.float64)
+    out = _real(func(field.masked_vectors()), "mapped vectors")
     if out.shape != field.vectors.shape:
         raise FlowError(f"mapped vectors have shape {out.shape}, expected {field.vectors.shape}")
     return FlowField(_where_valid(field.mask, out), field.reference, field.mask)

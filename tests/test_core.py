@@ -13,11 +13,13 @@ from flowfield import (
     FlowError,
     FlowField,
     Reference,
+    apply,
     bilinear_sample,
     from_matrix,
     from_transforms,
     grid_coordinates,
     grid_from_unstructured_data,
+    map_vectors,
     pad,
     resize,
     track,
@@ -25,6 +27,7 @@ from flowfield import (
     zeros,
 )
 from flowfield.core import _where_valid
+from flowfield.interp import masked_bilinear_sample
 from flowfield.verify import trial_matrices
 
 
@@ -301,6 +304,42 @@ class TestPoints:
             values, flags = call()
             assert values.shape == values_shape and flags.shape == flags_shape
             assert np.isfinite(values).all()
+
+
+# Non-real values of any shape, and every entry besides `FlowField` that turns
+# caller numbers into float64, called on a 2x3 grid with them as one input.
+NON_REAL = {
+    "letters": lambda shape: np.full(shape, "a"),
+    "numeric-strings": lambda shape: np.full(shape, "1.5"),
+    "complex": lambda shape: np.ones(shape, complex),
+}
+REAL_CALLERS = {
+    "AffineTransform": lambda bad: AffineTransform(bad((3, 3))),
+    "bilinear_sample": lambda bad: bilinear_sample(bad((2, 3)), np.zeros((4, 2))),
+    "masked_bilinear_sample": lambda bad: masked_bilinear_sample(
+        bad((2, 3, 2)), np.ones((2, 3), bool), np.zeros((4, 2))
+    ),
+    "grid_from_unstructured_data": lambda bad: grid_from_unstructured_data(
+        np.zeros((4, 2)), bad(4), (2, 3)
+    ),
+    "apply-s": lambda bad: apply(zeros((2, 3), "s"), bad((2, 3, 3))),
+    "apply-t": lambda bad: apply(zeros((2, 3), "t"), bad((2, 3, 3))),
+    "map_vectors": lambda bad: map_vectors(zeros((2, 3)), lambda v: bad(v.shape)),
+    **{f"points-{name}": lambda bad, call=call: call(bad((4, 2)))
+       for name, call in POINT_CALLERS.items()},
+}
+
+
+class TestRealInput:
+    """Non-real caller input fails as FlowError at every entry, as at `FlowField`."""
+
+    @pytest.mark.parametrize("kind", NON_REAL)
+    @pytest.mark.parametrize("caller", REAL_CALLERS)
+    def test_every_entry_point_rejects(self, caller, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(FlowError, match="real numbers"):
+                REAL_CALLERS[caller](NON_REAL[kind])
 
 
 class TestAffineTransform:

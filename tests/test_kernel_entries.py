@@ -1,11 +1,12 @@
 """Which kernel entry each warp takes, and the one far-end rule that feeds it.
 
-Caller data goes through the public kernels, `masked_bilinear_sample` and
-`grid_from_unstructured_data`, which copy, scan and check it. Everything
+The public kernels, `masked_bilinear_sample` and
+`grid_from_unstructured_data`, copy, scan and check caller data. Everything
 the library holds goes through the private entries `interp._sample` and
-`interp._splat`. Only `apply` takes caller data, so every other op must run
-with the public kernels replaced by ones that raise, even on fields with
-NaN, ±inf and 1e308 under their false bits.
+`interp._splat`. Only `apply` takes caller data; it checks the data of a
+pull itself, so every op but a source flow's `apply` must run with the
+public kernels replaced by ones that raise, even on fields with NaN, ±inf
+and 1e308 under their false bits.
 """
 
 import itertools
@@ -56,7 +57,8 @@ def public_kernels_raise(monkeypatch):
 
     for module in (flowfield.ops, flowfield.interp):
         for name in ("masked_bilinear_sample", "grid_from_unstructured_data"):
-            monkeypatch.setattr(module, name, refuse)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
 
 
 POINTS = np.random.default_rng(1).uniform(-3.0, 34.0, (60, 2))
@@ -87,10 +89,12 @@ class TestLibraryDataTakesThePrivateEntries:
         first, second, out = refs
         combine(junk_field(first, seed=3), junk_field(second, seed=4), mode, out)
 
-    def test_apply_takes_the_public_kernels(self, public_kernels_raise):
-        for reference in REFERENCES:
-            with pytest.raises(AssertionError, match="checking entry point"):
-                flowfield.ops.apply(junk_field(reference, seed=5), np.ones(SHAPE))
+    def test_apply_pulls_privately_and_splats_publicly(self, public_kernels_raise):
+        data_mask = np.random.default_rng(5).random(SHAPE) < 0.7
+        data = np.where(data_mask[..., None], 1.0, np.resize(JUNK, (*SHAPE, 3)))
+        flowfield.ops.apply(junk_field("t", seed=5), data, data_mask)
+        with pytest.raises(AssertionError, match="checking entry point"):
+            flowfield.ops.apply(junk_field("s", seed=5), data, data_mask)
 
 
 class TestFarEnds:

@@ -202,7 +202,7 @@ class TestWarpsMatchWholeGridOracles:
         c = Case(case)
         assert c.same(lambda: switch_reference(c.field), lambda: switch_oracle(c.field))
 
-    @given(case=warp_cases, channels=st.sampled_from([None, 1, 3]))
+    @given(case=warp_cases, channels=st.sampled_from([None, 0, 1, 3]))
     @settings(max_examples=60, deadline=None)
     def test_apply_to_caller_data(self, case, channels):
         c = Case(case)
