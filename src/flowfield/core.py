@@ -11,7 +11,9 @@ coordinates; every function that takes points checks them through
 `_points` (finite, shape (N, 2)). Padding is a plain (top, bottom, left,
 right) sequence of non-negative integers, checked by `_padding`. Numbers
 from outside the program become float64 through `_real`, which refuses
-strings and complex values.
+strings, complex values and ragged nestings; masks become fresh bool
+arrays through `_mask`, which takes bool and integer dtypes of the exact
+shape only. Cells are zeroed one way, by `_fill_cells`.
 """
 
 from __future__ import annotations
@@ -109,21 +111,43 @@ def _padding(value) -> tuple[int, int, int, int]:
     return tuple(_integer(v, 0, f"padding {side}") for side, v in zip(sides, values))
 
 
+def _array(values, name: str) -> np.ndarray:
+    """`np.asarray(values)`, with numpy's error on ragged nesting raised as FlowError."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise FlowError(f"{name} must be real numbers in a rectangular array") from None
+
+
 def _real(values, name: str, copy: bool = False) -> np.ndarray:
     """`values` as a float64 array; a fresh C-ordered one if `copy`, else float64 is not copied.
 
     This is the one check that numbers arriving from outside the program
-    are real: strings, complex values, dates and objects that do not
-    convert raise FlowError, before numpy can parse a string or drop an
-    imaginary part.
+    are real: strings, complex values, dates, ragged nestings and objects
+    that do not convert raise FlowError, before numpy can parse a string or
+    drop an imaginary part.
     """
-    arr = np.asarray(values)
+    arr = _array(values, name)
     if arr.dtype.kind not in "biufO":
         raise FlowError(f"{name} must be real numbers, got dtype {arr.dtype}")
     try:
         return arr.astype(np.float64, order="C" if copy else "K", copy=copy)
     except (TypeError, ValueError):
         raise FlowError(f"{name} must be real numbers") from None
+
+
+def _mask(mask, shape: tuple[int, int], name: str) -> np.ndarray:
+    """`mask` as a fresh bool array of exactly `shape`; caller edits do not leak in.
+
+    The one check on a mask from outside the program: bool and integer dtypes
+    only, nonzero meaning valid; anything else raises FlowError.
+    """
+    m = _array(mask, name)
+    if m.dtype.kind not in "biu":
+        raise FlowError(f"{name} must be bool or integer, got dtype {m.dtype}")
+    if m.shape != shape:
+        raise FlowError(f"{name} shape {m.shape} does not match {shape}")
+    return m.astype(bool)
 
 
 def _points(points) -> np.ndarray:
@@ -143,35 +167,23 @@ def _points(points) -> np.ndarray:
     return pts
 
 
-def _cells(data: np.ndarray) -> np.ndarray:
-    """View (..., C) data as (...) items of C values each; contiguous input is not copied.
-
-    A select or gather over the view moves whole cells, where one over the
-    data would loop over the short channel axis for every cell.
-    """
-    data = np.ascontiguousarray(data)
-    return data.view(np.dtype((np.void, data.itemsize * data.shape[-1])))[..., 0]
-
-
 def _where_valid(mask: np.ndarray, data) -> np.ndarray:
-    """Fresh copy of (..., C) `data` whose cells under false `mask` bits are zero bytes.
+    """Fresh C-ordered copy of (..., C) `data` whose cells under false `mask` bits are zero bytes.
 
     For floats that is +0.0 in every channel; kept cells keep their bits.
     Data shaped like the mask is one channel per cell.
     """
-    data = np.asarray(data)
-    if not data.size:  # no cells or no channels: nothing to zero
-        return data.copy()
-    cells = _cells(data[..., None] if data.shape == mask.shape else data)
-    return np.where(mask, cells, np.zeros((), cells.dtype)).view(data.dtype).reshape(data.shape)
+    out = np.array(data, order="C")
+    _fill_cells(out[..., None] if out.shape == mask.shape else out, ~mask, 0.0)
+    return out
 
 
 def _fill_cells(data: np.ndarray, where: np.ndarray, value: float) -> None:
     """Set each channel of the (..., C) cells of `data` under true `where` bits to `value`.
 
-    Works in place, writing each cell as one item, as `_where_valid` selects
-    cells. `data` must be a writable C-contiguous array; viewing anything
-    else raises.
+    Works in place, writing each cell as one item, so no bit is broadcast
+    over the short channel axis. `data` must be a writable C-contiguous
+    array; viewing anything else raises. This is the one zeroing primitive.
     """
     if not data.size:  # no cells or no channels: nothing to fill
         return
@@ -300,10 +312,10 @@ class FlowField:
         Displacements in pixels, channels (x, y).
     reference : Reference or str
         's' (source) or 't' (target).
-    mask : array_like of bool, shape (H, W), optional
-        Validity mask; defaults to all-true. Vector values under false
-        mask bits are unconstrained (may be non-finite) and are ignored
-        by every operation.
+    mask : array_like of bool or integers, shape (H, W), optional
+        Validity mask, nonzero meaning valid (other dtypes raise FlowError);
+        defaults to all-true. Vector values under false mask bits are
+        unconstrained (may be non-finite) and are ignored by every operation.
     """
 
     __slots__ = ("_vectors", "_reference", "_mask")
@@ -313,13 +325,7 @@ class FlowField:
         if vec.ndim != 3 or vec.shape[2] != 2 or vec.shape[0] < 1 or vec.shape[1] < 1:
             raise FlowError(f"vectors must have shape (H, W, 2) with H, W >= 1, got {vec.shape}")
         ref = Reference.parse(reference)
-        if mask is None:
-            m = np.ones(vec.shape[:2], dtype=bool)
-        else:
-            m = np.asarray(mask)
-            if m.shape != vec.shape[:2]:
-                raise FlowError(f"mask shape {m.shape} does not match vectors {vec.shape[:2]}")
-            m = m.astype(bool)  # always a copy: caller edits do not leak in
+        m = np.ones(vec.shape[:2], bool) if mask is None else _mask(mask, vec.shape[:2], "mask")
         # A scan of the whole array is cheap; gather the valid cells only when it fails.
         if not np.isfinite(vec).all() and not np.isfinite(vec[m]).all():
             raise FlowError("non-finite vector components inside the valid mask")

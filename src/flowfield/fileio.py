@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference, _where_valid
+from .core import FlowError, FlowField, Reference, _array, _fill_cells, _mask
 
 __all__ = [
     "FLO_MAGIC",
@@ -110,7 +110,8 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
     data = np.frombuffer(payload, "<f4").reshape(h, w, 2)
     # The sentinel is exact in float32, so the payload is compared as read.
     mask = (data[..., 0] != INVALID_SENTINEL) | (data[..., 1] != INVALID_SENTINEL)
-    vectors = _where_valid(mask, data).astype(np.float64)  # zero on invalid cells
+    vectors = data.astype(np.float64)
+    _fill_cells(vectors, ~mask, 0.0)  # zero on invalid cells
     if not np.isfinite(vectors).all():
         raise FlowError(f"non-finite vector components in a valid cell of {path}")
     return FlowField._trusted(vectors, Reference.parse(reference), mask)
@@ -134,11 +135,11 @@ def write_image(path, image) -> None:
 
 
 def write_mask(path, mask) -> None:
-    """Write a boolean mask as a 0/255 grayscale pixmap."""
-    arr = np.asarray(mask)
+    """Write a bool or integer (H, W) mask as a 0/255 grayscale pixmap, nonzero as 255."""
+    arr = _array(mask, "mask")
     if arr.ndim != 2:
         raise FlowError(f"mask must be 2-D, got shape {arr.shape}")
-    write_image(path, np.where(arr.astype(bool), 255, 0).astype(np.uint8))
+    write_image(path, np.where(_mask(arr, arr.shape, "mask"), 255, 0).astype(np.uint8))
 
 
 # Width, height and maxval after the magic: decimal tokens of at most ten

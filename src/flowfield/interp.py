@@ -32,11 +32,11 @@ source that forms the far-end planes of just the asked-for cells, with the
 cells they drop at `_OFF_GRID`.
 
 Caller data is checked once, where it enters: at a public function, or at
-`ops.apply`. Grid data to be sampled goes through `_clean`, which zeroes a
-copy under false mask bits and scans the rest for non-finite values. The
-private entries then take data with no copy and no scan: `_sample` takes
-rows that are finite and zero on invalid cells, and `_splat` takes any
-value for a sample it drops.
+`ops.apply`. Grid data is read by `_grid_rows` and goes through `_clean`
+(both halves of `apply` too), which zeroes a copy under false mask bits
+and scans the rest for non-finite values. The private entries then take
+data with no copy and no scan: `_sample` takes rows that are finite and
+zero on invalid cells, and `_splat` takes any value for a sample it drops.
 
 The splat sums into one accumulator, over the grid plus a border (two
 cells before, three after) that holds every corner once each sample's cell
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, _fill_cells, _grid_axes, _points, _real, _where_valid
+from .core import FlowError, _fill_cells, _grid_axes, _mask, _points, _real, _where_valid
 
 __all__ = [
     "MASK_SAMPLE_THRESHOLD",
@@ -88,15 +88,6 @@ _OFF_GRID = -2.0
 _BLOCK = 8192
 
 
-def _channels_last(grid: np.ndarray) -> tuple[np.ndarray, bool]:
-    """View (H, W) data as (H, W, 1); report whether a channel axis was added."""
-    if grid.ndim == 2:
-        return grid[..., None], True
-    if grid.ndim == 3:
-        return grid, False
-    raise FlowError(f"grid must have shape (H, W) or (H, W, C), got {grid.shape}")
-
-
 def _in_bounds(x: np.ndarray, y: np.ndarray, h: int, w: int) -> np.ndarray:
     """Positions within `OUT_OF_BOUNDS_TOL` of [0, W-1] x [0, H-1]."""
     tol = OUT_OF_BOUNDS_TOL
@@ -108,11 +99,11 @@ def _grid_rows(grid) -> tuple[np.ndarray, int, int, bool]:
 
     Returns the rows, H, W and whether a channel axis was added.
     """
-    data, squeeze = _channels_last(_real(grid, "grid"))
-    h, w, n_channels = data.shape
-    if h < 1 or w < 1:
-        raise FlowError("grid must be non-empty")
-    return data.reshape(h * w, n_channels), h, w, squeeze
+    data = _real(grid, "grid")
+    if data.ndim not in (2, 3) or 0 in data.shape[:2]:
+        raise FlowError(f"grid must have shape (H, W) or (H, W, C), H, W >= 1, got {data.shape}")
+    h, w = data.shape[:2]
+    return data.reshape(h * w, -1 if data.ndim == 3 else 1), h, w, data.ndim == 2
 
 
 def _corners(x: np.ndarray, y: np.ndarray, h: int, w: int):
@@ -239,13 +230,13 @@ def _sample(rows: np.ndarray, mask: np.ndarray, points, n: int):
     return values, valid
 
 
-def _clean(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Checked float64 caller data, zero under the false bits of its (H, W) `mask`.
+def _clean(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Checked (H*W, C) caller rows, zero under the false bits of their (H, W) `mask`.
 
-    A partial mask zeroes a copy; a full one returns `data` itself. Raises
+    A partial mask zeroes a copy; a full one returns `rows` itself. Raises
     FlowError when a valid cell holds a non-finite value.
     """
-    clean = data if mask.all() else _where_valid(mask, data)
+    clean = rows if mask.all() else _where_valid(mask.reshape(-1), rows)
     if not np.isfinite(clean).all():
         raise FlowError("data must be finite on valid cells")
     return clean
@@ -264,15 +255,12 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     The data and the mask weight are blended over one shared stencil, with
     the same per-channel arithmetic as two `bilinear_sample` calls.
 
-    Data on valid cells must be finite; invalid cells may hold anything.
+    The mask is bool or integer; data on its valid cells must be finite, the rest is ignored.
     """
-    arr = _real(data, "data")
-    valid_cells = np.asarray(mask).astype(bool)
-    if valid_cells.shape != arr.shape[:2]:
-        raise FlowError(f"mask shape {valid_cells.shape} does not match data {arr.shape[:2]}")
-    rows, _, _, squeeze = _grid_rows(_clean(arr, valid_cells))
+    rows, h, w, squeeze = _grid_rows(data)
+    valid_cells = _mask(mask, (h, w), "mask")
     pts = _points(points)
-    values, valid = _sample(rows, valid_cells, _columns(pts), len(pts))
+    values, valid = _sample(_clean(rows, valid_cells), valid_cells, _columns(pts), len(pts))
     if squeeze:
         values = values[:, 0]
     return values, valid

@@ -19,12 +19,12 @@ is the form the kernels read. `_push` and `_pull` feed `interp._splat` and
 `interp._sample` the far-end planes of just the cells each kernel block
 asks for, with no copy and no scan of the data.
 
-Only `apply` takes caller data, and it checks that data once. A target
-flow checks it with `interp._clean`, as `masked_bilinear_sample` does, and
-pulls it through `_pull`. A source flow hands it, with the far-end planes
-stacked into (N, 2) points, to the public splat, which checks it; no
-kernel rule keeps it there, only `perfbench`'s traced `cli-pipeline` run,
-which counts the public splat's calls.
+Only `apply` takes caller data, read by `interp._grid_rows`, and both
+halves check it with `interp._clean`: a target flow under the data mask,
+then pulls it through `_pull`; a source flow under that and its own mask,
+then hands it, with the far-end planes stacked into (N, 2) points, to the
+public splat. No kernel rule keeps it there, only `perfbench`'s traced
+`cli-pipeline` run, which counts the public splat's calls.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .core import (
     FlowField,
     Reference,
     _check_cells,
+    _mask,
     _points,
     _real,
     _where_valid,
@@ -47,9 +48,9 @@ from .core import (
 from .interp import (
     _OFF_GRID,
     OUT_OF_BOUNDS_TOL,
-    _channels_last,
     _clean,
     _columns,
+    _grid_rows,
     _in_bounds,
     _sample,
     _splat,
@@ -147,10 +148,10 @@ def apply(field: FlowField, data, data_mask=None):
     ----------
     field : FlowField
     data : array_like, shape (H, W) or (H, W, C), dims matching the flow
-    data_mask : array_like of bool, shape (H, W), optional
-        Validity of the input data. Invalid cells never contribute a
-        value: the source path drops their samples, the target path
-        excludes them from each bilinear blend (see
+    data_mask : array_like of bool or integers, shape (H, W), optional
+        Validity of the input data, nonzero meaning valid. Invalid cells
+        never contribute a value: the source path drops their samples, the
+        target path excludes them from each bilinear blend (see
         `masked_bilinear_sample`). Output cells drawing less than half
         their blend weight from valid data are masked out.
 
@@ -160,23 +161,19 @@ def apply(field: FlowField, data, data_mask=None):
     mask : ndarray of bool, shape (H, W)
         False where the output is undefined; such cells are zero.
     """
-    arr, squeeze = _channels_last(_real(data, "data"))
+    rows, data_h, data_w, squeeze = _grid_rows(data)
     h, w = field.shape
-    if arr.shape[:2] != (h, w):
-        raise FlowError(f"data dims {arr.shape[:2]} do not match flow dims {(h, w)}")
-    dmask = np.ones((h, w), bool) if data_mask is None else np.asarray(data_mask).astype(bool)
-    if dmask.shape != (h, w):
-        raise FlowError(f"data_mask shape {dmask.shape} does not match flow dims {(h, w)}")
+    if (data_h, data_w) != (h, w):
+        raise FlowError(f"data dims {(data_h, data_w)} do not match flow dims {(h, w)}")
+    dmask = np.ones((h, w), bool) if data_mask is None else _mask(data_mask, (h, w), "data_mask")
 
-    # Caller data is checked once: by the public splat, or by `_clean` for the pull.
+    # Caller data is checked once, by `_clean`, on the cells each half keeps.
     if field.reference is Reference.SOURCE:
         kept = field.mask & dmask
-        # Only a non-finite value needs the clean copy; the splat drops the rest.
-        values = arr if np.isfinite(arr).all() else _where_valid(kept, arr)
         ends = np.stack(_far_ends(field, kept=kept), axis=-1).reshape(-1, 2)
-        warped, mask = grid_from_unstructured_data(ends, values.reshape(h * w, -1), (h, w))
+        warped, mask = grid_from_unstructured_data(ends, _clean(rows, kept), (h, w))
     else:
-        warped, mask = _pull(field, _clean(arr, dmask), dmask)
+        warped, mask = _pull(field, _clean(rows, dmask).reshape(h, w, -1), dmask)
     if squeeze:
         warped = warped[..., 0]
     return warped, mask
@@ -221,9 +218,10 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     grid, x components multiplied by sx and y components by sy. The mask
     is resampled as floats and thresholded at 0.5.
     """
-    sy, sx = float(scale[0]), float(scale[1])
-    if not (0 < sy < np.inf and 0 < sx < np.inf):
-        raise FlowError(f"scale factors must be positive and finite, got {(sy, sx)}")
+    factors = _real(scale, "scale")
+    if factors.shape != (2,) or not (0 < factors.min() and factors.max() < np.inf):
+        raise FlowError(f"scale factors must be two positive finite numbers, got {factors}")
+    sy, sx = factors.tolist()
     h, w = field.shape
     # A side too long for a float stays unrounded, for the cell budget to refuse.
     new_h, new_w = (round(n) if n < np.inf else n for n in (h * sy, w * sx))

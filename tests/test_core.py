@@ -21,9 +21,11 @@ from flowfield import (
     grid_from_unstructured_data,
     map_vectors,
     pad,
+    read_image,
     resize,
     track,
     unpad,
+    write_mask,
     zeros,
 )
 from flowfield.core import _where_valid
@@ -306,14 +308,17 @@ class TestPoints:
             assert np.isfinite(values).all()
 
 
-# Non-real values of any shape, and every entry besides `FlowField` that turns
-# caller numbers into float64, called on a 2x3 grid with them as one input.
+# Non-real values of any shape, and every entry that turns caller numbers into
+# float64, called on a 2x3 grid with them as one input. A ragged nesting has
+# its first entry cut short, so numpy cannot make an array of it.
 NON_REAL = {
     "letters": lambda shape: np.full(shape, "a"),
     "numeric-strings": lambda shape: np.full(shape, "1.5"),
     "complex": lambda shape: np.ones(shape, complex),
+    "ragged": lambda shape: [[0.0], *np.zeros(shape).tolist()[1:]],
 }
 REAL_CALLERS = {
+    "FlowField": lambda bad: FlowField(bad((2, 3, 2)), "s"),
     "AffineTransform": lambda bad: AffineTransform(bad((3, 3))),
     "bilinear_sample": lambda bad: bilinear_sample(bad((2, 3)), np.zeros((4, 2))),
     "masked_bilinear_sample": lambda bad: masked_bilinear_sample(
@@ -325,6 +330,7 @@ REAL_CALLERS = {
     "apply-s": lambda bad: apply(zeros((2, 3), "s"), bad((2, 3, 3))),
     "apply-t": lambda bad: apply(zeros((2, 3), "t"), bad((2, 3, 3))),
     "map_vectors": lambda bad: map_vectors(zeros((2, 3)), lambda v: bad(v.shape)),
+    "resize": lambda bad: resize(zeros((2, 3)), bad((2,))),
     **{f"points-{name}": lambda bad, call=call: call(bad((4, 2)))
        for name, call in POINT_CALLERS.items()},
 }
@@ -340,6 +346,58 @@ class TestRealInput:
             warnings.simplefilter("error")  # no ComplexWarning on the way
             with pytest.raises(FlowError, match="real numbers"):
                 REAL_CALLERS[caller](NON_REAL[kind])
+
+
+# Masks that are neither bool nor integer, and every entry that takes a mask
+# from the caller, called on a 2x3 grid with one as the mask.
+NON_MASK = {
+    "letters": lambda shape: np.full(shape, "a"),
+    "numeric-strings": lambda shape: np.full(shape, "0"),
+    "nan": lambda shape: np.full(shape, np.nan),
+    "complex": lambda shape: np.zeros(shape, complex),
+    "object": lambda shape: np.full(shape, False, dtype=object),
+    "ragged": lambda shape: [[True], *np.ones(shape, bool).tolist()[1:]],
+}
+# Each returns a tuple of arrays that the mask decides.
+def _written_mask(mask, tmp):
+    write_mask(tmp / "mask.pgm", mask)
+    return (read_image(tmp / "mask.pgm"),)
+
+
+MASK_CALLERS = {
+    "FlowField": lambda mask, tmp: (FlowField(np.zeros((2, 3, 2)), "s", mask).mask,),
+    "apply-s": lambda mask, tmp: apply(zeros((2, 3), "s"), np.ones((2, 3)), mask),
+    "apply-t": lambda mask, tmp: apply(zeros((2, 3), "t"), np.ones((2, 3)), mask),
+    "masked_bilinear_sample": lambda mask, tmp: masked_bilinear_sample(
+        np.ones((2, 3)), mask, [[0.0, 0.0], [1.5, 0.5], [2.0, 1.0]]
+    ),
+    "write_mask": _written_mask,
+}
+
+
+class TestMaskInput:
+    """A caller mask is bool or integer of the grid's shape at every entry, else FlowError."""
+
+    @pytest.mark.parametrize("kind", NON_MASK)
+    @pytest.mark.parametrize("caller", MASK_CALLERS)
+    def test_every_entry_point_rejects(self, caller, kind, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(FlowError, match="mask must be"):
+                MASK_CALLERS[caller](NON_MASK[kind]((2, 3)), tmp_path)
+
+    @pytest.mark.parametrize("caller", MASK_CALLERS)
+    def test_wrong_shape_rejected(self, caller, tmp_path):
+        with pytest.raises(FlowError, match="mask (shape|must be 2-D)"):
+            MASK_CALLERS[caller](np.ones(6, bool), tmp_path)
+
+    @pytest.mark.parametrize("caller", MASK_CALLERS)
+    def test_integers_read_as_nonzero(self, caller, tmp_path):
+        as_bool = np.array([[True, False, True], [False, True, True]])
+        want = MASK_CALLERS[caller](as_bool, tmp_path)
+        for mask in (np.array([[1, 0, -7], [0, 255, 2]], np.int16), as_bool.astype(np.uint8)):
+            got = MASK_CALLERS[caller](mask, tmp_path)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 class TestAffineTransform:
@@ -520,6 +578,14 @@ class TestResize:
     @pytest.mark.parametrize("bad", [(math.nan, 1), (1, math.inf)], ids=["nan-sy", "inf-sx"])
     def test_non_finite_scale_rejected(self, bad):
         with pytest.raises(FlowError):
+            resize(zeros((4, 4)), bad)
+
+    @pytest.mark.parametrize(
+        "bad", [(1, 1, 5), (2.0,), 2, (), [[1, 1]]],
+        ids=["three", "one", "scalar", "empty", "nested"],
+    )
+    def test_scale_needs_two_factors(self, bad):
+        with pytest.raises(FlowError, match="two positive finite"):
             resize(zeros((4, 4)), bad)
 
     def test_overflowing_vectors_rejected(self):

@@ -38,3 +38,26 @@ def test_core_imports_no_other_flowfield_module():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert not {name for name in imported if name.startswith((".", "flowfield"))}
+
+
+def test_masks_become_bool_only_in_core_mask():
+    """Caller masks have one check: no src function but `core._mask` calls `.astype(bool)`."""
+    calls = []
+    for path in sorted(Path(flowfield.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # Walked breadth first, so a nested function claims its calls last.
+        owner = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        calls += [
+            f"{path.stem}.{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "astype"
+            and any("bool" in ast.unparse(arg) for arg in node.args)
+        ]
+    assert calls == ["core._mask"]
