@@ -13,7 +13,7 @@ right) sequence of non-negative integers, checked by `_padding`. Numbers
 from outside the program become float64 through `_real`, which refuses
 strings, complex values and ragged nestings; masks become fresh bool
 arrays through `_mask`, which takes bool and integer dtypes of the exact
-shape only. Cells are zeroed one way, by `_fill_cells`.
+shape only.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def _real(values, name: str, copy: bool = False) -> np.ndarray:
         raise FlowError(f"{name} must be real numbers") from None
 
 
-def _mask(mask, shape: tuple[int, int], name: str) -> np.ndarray:
-    """`mask` as a fresh bool array of exactly `shape`; caller edits do not leak in.
+def _mask(mask, shape: tuple[int, int] | None, name: str) -> np.ndarray:
+    """`mask` as a fresh bool array of exactly `shape`, or of any (H, W) if `shape` is None.
 
     The one check on a mask from outside the program: bool and integer dtypes
     only, nonzero meaning valid; anything else raises FlowError.
@@ -145,8 +145,8 @@ def _mask(mask, shape: tuple[int, int], name: str) -> np.ndarray:
     m = _array(mask, name)
     if m.dtype.kind not in "biu":
         raise FlowError(f"{name} must be bool or integer, got dtype {m.dtype}")
-    if m.shape != shape:
-        raise FlowError(f"{name} shape {m.shape} does not match {shape}")
+    if m.ndim != 2 or m.shape != (shape or m.shape):
+        raise FlowError(f"{name} shape {m.shape} does not match {shape or '(H, W)'}")
     return m.astype(bool)
 
 
@@ -171,19 +171,20 @@ def _where_valid(mask: np.ndarray, data) -> np.ndarray:
     """Fresh C-ordered copy of (..., C) `data` whose cells under false `mask` bits are zero bytes.
 
     For floats that is +0.0 in every channel; kept cells keep their bits.
-    Data shaped like the mask is one channel per cell.
+    Data shaped like the mask is one channel per cell; one select over whole cells makes it.
     """
-    out = np.array(data, order="C")
-    _fill_cells(out[..., None] if out.shape == mask.shape else out, ~mask, 0.0)
-    return out
+    data = np.ascontiguousarray(data)
+    if not data.size:  # no cells or no channels: nothing to zero
+        return data.copy()
+    cells = data.view(np.dtype((np.void, data.nbytes // mask.size))).reshape(mask.shape)
+    return np.where(mask, cells, np.zeros((), cells.dtype)).view(data.dtype).reshape(data.shape)
 
 
 def _fill_cells(data: np.ndarray, where: np.ndarray, value: float) -> None:
     """Set each channel of the (..., C) cells of `data` under true `where` bits to `value`.
 
-    Works in place, writing each cell as one item, so no bit is broadcast
-    over the short channel axis. `data` must be a writable C-contiguous
-    array; viewing anything else raises. This is the one zeroing primitive.
+    Works in place, writing each cell as one item, as `_where_valid` selects
+    cells; `data` must be a writable C-contiguous array.
     """
     if not data.size:  # no cells or no channels: nothing to fill
         return

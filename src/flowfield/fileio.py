@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference, _array, _fill_cells, _mask
+from .core import FlowError, FlowField, Reference, _fill_cells, _mask
 
 __all__ = [
     "FLO_MAGIC",
@@ -136,10 +136,7 @@ def write_image(path, image) -> None:
 
 def write_mask(path, mask) -> None:
     """Write a bool or integer (H, W) mask as a 0/255 grayscale pixmap, nonzero as 255."""
-    arr = _array(mask, "mask")
-    if arr.ndim != 2:
-        raise FlowError(f"mask must be 2-D, got shape {arr.shape}")
-    write_image(path, np.where(_mask(arr, arr.shape, "mask"), 255, 0).astype(np.uint8))
+    write_image(path, np.where(_mask(mask, None, "mask"), 255, 0).astype(np.uint8))
 
 
 # Width, height and maxval after the magic: decimal tokens of at most ten

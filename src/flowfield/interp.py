@@ -31,10 +31,11 @@ copies of their points' two columns (`_columns`); the warps in `ops` pass a
 source that forms the far-end planes of just the asked-for cells, with the
 cells they drop at `_OFF_GRID`.
 
-Caller data is checked once, where it enters: at a public function, or at
+Caller data is checked where it enters: at a public function, or at
 `ops.apply`. Grid data is read by `_grid_rows` and goes through `_clean`
 (both halves of `apply` too), which zeroes a copy under false mask bits
-and scans the rest for non-finite values. The private entries then take
+and scans the rest for non-finite values (the public splat, which `apply`
+of a source flow calls next, scans it again). The private entries take
 data with no copy and no scan: `_sample` takes rows that are finite and
 zero on invalid cells, and `_splat` takes any value for a sample it drops.
 
@@ -94,14 +95,14 @@ def _in_bounds(x: np.ndarray, y: np.ndarray, h: int, w: int) -> np.ndarray:
     return (x >= -tol) & (x <= w - 1 + tol) & (y >= -tol) & (y <= h - 1 + tol)
 
 
-def _grid_rows(grid) -> tuple[np.ndarray, int, int, bool]:
-    """View a non-empty (H, W) or (H, W, C) grid as (H*W, C) float64 rows.
+def _grid_rows(grid, name: str) -> tuple[np.ndarray, int, int, bool]:
+    """View the non-empty (H, W) or (H, W, C) argument `name` as (H*W, C) float64 rows.
 
     Returns the rows, H, W and whether a channel axis was added.
     """
-    data = _real(grid, "grid")
+    data = _real(grid, name)
     if data.ndim not in (2, 3) or 0 in data.shape[:2]:
-        raise FlowError(f"grid must have shape (H, W) or (H, W, C), H, W >= 1, got {data.shape}")
+        raise FlowError(f"{name} must have shape (H, W) or (H, W, C), H, W >= 1, got {data.shape}")
     h, w = data.shape[:2]
     return data.reshape(h * w, -1 if data.ndim == 3 else 1), h, w, data.ndim == 2
 
@@ -190,7 +191,7 @@ def bilinear_sample(grid, points):
     values : ndarray, shape (N,) or (N, C) matching the grid rank
     in_bounds : ndarray of bool, shape (N,)
     """
-    rows, h, w, squeeze = _grid_rows(grid)
+    rows, h, w, squeeze = _grid_rows(grid, "grid")
     index, weight, in_bounds = _corners(*_points(points).T.copy(), h, w)
     values = _blend(rows, index, weight)
     if squeeze:
@@ -257,7 +258,7 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
 
     The mask is bool or integer; data on its valid cells must be finite, the rest is ignored.
     """
-    rows, h, w, squeeze = _grid_rows(data)
+    rows, h, w, squeeze = _grid_rows(data, "data")
     valid_cells = _mask(mask, (h, w), "mask")
     pts = _points(points)
     values, valid = _sample(_clean(rows, valid_cells), valid_cells, _columns(pts), len(pts))

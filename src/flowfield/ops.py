@@ -23,8 +23,9 @@ Only `apply` takes caller data, read by `interp._grid_rows`, and both
 halves check it with `interp._clean`: a target flow under the data mask,
 then pulls it through `_pull`; a source flow under that and its own mask,
 then hands it, with the far-end planes stacked into (N, 2) points, to the
-public splat. No kernel rule keeps it there, only `perfbench`'s traced
-`cli-pipeline` run, which counts the public splat's calls.
+public splat, which scans it again (under a partial mask after `_clean`
+zeroed a copy it does not need). Only `perfbench`'s traced `cli-pipeline`
+run, which counts the public splat's calls, keeps it there.
 """
 
 from __future__ import annotations
@@ -161,13 +162,13 @@ def apply(field: FlowField, data, data_mask=None):
     mask : ndarray of bool, shape (H, W)
         False where the output is undefined; such cells are zero.
     """
-    rows, data_h, data_w, squeeze = _grid_rows(data)
+    rows, data_h, data_w, squeeze = _grid_rows(data, "data")
     h, w = field.shape
     if (data_h, data_w) != (h, w):
         raise FlowError(f"data dims {(data_h, data_w)} do not match flow dims {(h, w)}")
     dmask = np.ones((h, w), bool) if data_mask is None else _mask(data_mask, (h, w), "data_mask")
 
-    # Caller data is checked once, by `_clean`, on the cells each half keeps.
+    # `_clean` checks the cells each half keeps; the public splat scans the source half again.
     if field.reference is Reference.SOURCE:
         kept = field.mask & dmask
         ends = np.stack(_far_ends(field, kept=kept), axis=-1).reshape(-1, 2)
