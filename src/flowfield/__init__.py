@@ -8,7 +8,7 @@ padding analysis, three-mode flow composition, a randomized verification
 harness, visualization, and .flo file interchange.
 """
 
-from .compose import ComposeMode, combine
+from .compose import combine
 from .core import (
     AffineTransform,
     FlowError,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyReport",
     "AffineTransform",
-    "ComposeMode",
     "FlowError",
     "FlowField",
     "Reference",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .compose import combine as combine_flows
-from .core import _STEP_ARITY, FlowError, _padding, from_transforms
+from .core import _STEP_ARITY, FlowError, _grid_shape, _padding, from_transforms
 from .core import pad as pad_flow
 from .core import unpad as unpad_flow
 from .demo import run_synthetic_demo
@@ -59,12 +59,9 @@ def parse_transforms(spec: str):
 
 def parse_size(text: str) -> tuple[int, int]:
     try:
-        h, w = (int(v) for v in text.lower().split("x"))
-    except ValueError:
-        raise click.UsageError(f"size must look like HxW, got {text!r}")
-    if h < 1 or w < 1:
-        raise click.UsageError(f"size must be positive, got {text!r}")
-    return h, w
+        return _grid_shape([int(v) for v in text.lower().split("x")])
+    except (ValueError, FlowError):
+        raise click.UsageError(f"size must look like HxW with positive integers, got {text!r}")
 
 
 def parse_padding(text: str) -> tuple[int, int, int, int]:

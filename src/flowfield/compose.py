@@ -28,37 +28,22 @@ returned as it is.
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
-from .core import FlowError, FlowField, Reference, _fill_cells
+from .core import FlowError, FlowField, Reference, _fill_cells, _mode
 from .ops import _pull, _push, invert, switch_reference
 
-__all__ = ["ComposeMode", "combine"]
-
-
-class ComposeMode(enum.IntEnum):
-    """Which flow of the 1->2, 2->3, 1->3 triple is unknown; other values raise FlowError."""
-
-    FLOW_1_2 = 1
-    FLOW_2_3 = 2
-    FLOW_1_3 = 3
-
-    @classmethod
-    def _missing_(cls, value):
-        raise FlowError(f"mode must be 1, 2 or 3, got {value!r}")
-
+__all__ = ["combine"]
 
 # Temporal spans (from, to) of (first input, second input, unknown) per mode.
 _SPANS = {
-    ComposeMode.FLOW_1_2: ((2, 3), (1, 3), (1, 2)),
-    ComposeMode.FLOW_2_3: ((1, 2), (1, 3), (2, 3)),
-    ComposeMode.FLOW_1_3: ((1, 2), (2, 3), (1, 3)),
+    1: ((2, 3), (1, 3), (1, 2)),
+    2: ((1, 2), (1, 3), (2, 3)),
+    3: ((1, 2), (2, 3), (1, 3)),
 }
 
 
-def _abc_times(mode: ComposeMode, output_reference: Reference) -> tuple[int, int, int]:
+def _abc_times(mode: int, output_reference: Reference) -> tuple[int, int, int]:
     """Frozen relabeling of the times 1, 2, 3 as (A, B, C).
 
     A is where the unknown flow's requested reference anchors (its start
@@ -80,7 +65,7 @@ def _anchor_time(field: FlowField, span: tuple[int, int]) -> int:
 def combine(
     f_first: FlowField,
     f_second: FlowField,
-    mode: ComposeMode | int,
+    mode: int,
     output_reference: Reference | str | None = None,
 ) -> FlowField:
     """Compute the unknown flow of a three-time composition.
@@ -91,7 +76,7 @@ def combine(
         The two known flows in temporal order: mode 1 takes (flow 2->3,
         flow 1->3), mode 2 takes (flow 1->2, flow 1->3), mode 3 takes
         (flow 1->2, flow 2->3). Their references are independent.
-    mode : ComposeMode or int in {1, 2, 3}
+    mode : 1, 2 or 3
         Which flow is unknown (1: flow 1->2, 2: flow 2->3, 3: flow 1->3).
     output_reference : Reference or str, optional
         Reference of the result; defaults to f_first's reference. The
@@ -104,7 +89,7 @@ def combine(
     `invert`. Pulling at f_ab's far ends costs no splat and, in modes 1
     and 3, is more accurate than warping with the inverted flow.
     """
-    mode = ComposeMode(mode)
+    mode = _mode(mode)
     if f_first.shape != f_second.shape:
         raise FlowError(f"flow dims differ: {f_first.shape} vs {f_second.shape}")
     out_ref = (
@@ -149,7 +134,7 @@ def combine(
         (np.add if sign_bc > 0 else np.subtract)(vectors, bc_vectors, out=vectors)
     del bc_vectors  # a switched operand's last reference, gone before the warp
     mask = f_ab.mask & bc_mask
-    _fill_cells(vectors, ~mask, 0.0)
+    _fill_cells(vectors, ~mask)
     if not np.isfinite(vectors).all():
         raise FlowError("composed flow vectors overflow float64")
 

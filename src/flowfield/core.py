@@ -9,11 +9,11 @@ new instances.
 Scattered points are plain float64 (N, 2) arrays of (x, y) pixel
 coordinates; every function that takes points checks them through
 `_points` (finite, shape (N, 2)). Padding is a plain (top, bottom, left,
-right) sequence of non-negative integers, checked by `_padding`. Numbers
-from outside the program become float64 through `_real`, which refuses
-strings, complex values and ragged nestings; masks become fresh bool
-arrays through `_mask`, which takes bool and integer dtypes of the exact
-shape only.
+right) sequence of non-negative integers, checked by `_padding`, a grid
+shape by `_grid_shape` and a composition mode by `_mode`. Numbers from
+outside the program become float64 through `_real`, or one Python float
+through `_number`, refusing strings, complex values and ragged nestings;
+masks become fresh bool arrays through `_mask` (bool or integer dtype, exact shape).
 """
 
 from __future__ import annotations
@@ -97,18 +97,32 @@ def _integer(value, least: int, name: str) -> int:
     return int(value)
 
 
-def _padding(value) -> tuple[int, int, int, int]:
-    """Padding as a (top, bottom, left, right) tuple of Python ints.
+def _sides(value, sides: tuple[str, ...], least: int, name: str) -> tuple[int, ...]:
+    """`value` as one Python int per named side, each integer-valued and >= `least`.
 
-    This is the one check on padding arriving from outside the program:
-    any 4-sequence of integer-valued, non-negative numbers is accepted;
-    anything else raises FlowError.
+    Any other count or value raises FlowError. `_padding` and `_grid_shape`
+    are the one check on padding and on a grid shape from outside the program.
     """
     values = tuple(value) if np.iterable(value) else (value,)
-    if len(values) != 4:
-        raise FlowError(f"padding needs 4 values (top, bottom, left, right), got {len(values)}")
-    sides = ("top", "bottom", "left", "right")
-    return tuple(_integer(v, 0, f"padding {side}") for side, v in zip(sides, values))
+    if len(values) != len(sides):
+        raise FlowError(f"{name} needs {len(sides)} values ({', '.join(sides)}), got {len(values)}")
+    return tuple(_integer(v, least, f"{name} {side}") for side, v in zip(sides, values))
+
+
+def _padding(value) -> tuple[int, int, int, int]:
+    return _sides(value, ("top", "bottom", "left", "right"), 0, "padding")
+
+
+def _grid_shape(shape) -> tuple[int, int]:
+    return _sides(shape, ("height", "width"), 1, "grid")
+
+
+def _mode(value) -> int:
+    """The one check on a composition mode: a number equal to 1, 2 or 3, else FlowError."""
+    try:
+        return {1: 1, 2: 2, 3: 3}[value]
+    except (KeyError, TypeError):  # TypeError: unhashable
+        raise FlowError(f"mode must be 1, 2 or 3, got {value!r}") from None
 
 
 def _array(values, name: str) -> np.ndarray:
@@ -134,6 +148,14 @@ def _real(values, name: str, copy: bool = False) -> np.ndarray:
         return arr.astype(np.float64, order="C" if copy else "K", copy=copy)
     except (TypeError, ValueError):
         raise FlowError(f"{name} must be real numbers") from None
+
+
+def _number(value, name: str) -> float:
+    """`value` as a Python float if `_real` takes it and it is one number, else FlowError."""
+    number = _real(value, name)
+    if number.ndim:
+        raise FlowError(f"{name} must be one real number, got shape {number.shape}")
+    return float(number)
 
 
 def _mask(mask, shape: tuple[int, int] | None, name: str) -> np.ndarray:
@@ -180,8 +202,8 @@ def _where_valid(mask: np.ndarray, data) -> np.ndarray:
     return np.where(mask, cells, np.zeros((), cells.dtype)).view(data.dtype).reshape(data.shape)
 
 
-def _fill_cells(data: np.ndarray, where: np.ndarray, value: float) -> None:
-    """Set each channel of the (..., C) cells of `data` under true `where` bits to `value`.
+def _fill_cells(data: np.ndarray, where: np.ndarray) -> None:
+    """Zero the bytes of the (..., C) cells of `data` under true `where` bits (+0.0 for floats).
 
     Works in place, writing each cell as one item, as `_where_valid` selects
     cells; `data` must be a writable C-contiguous array.
@@ -189,8 +211,7 @@ def _fill_cells(data: np.ndarray, where: np.ndarray, value: float) -> None:
     if not data.size:  # no cells or no channels: nothing to fill
         return
     cell_type = np.dtype((np.void, data.itemsize * data.shape[-1]))
-    cell = np.full(data.shape[-1], value, data.dtype).view(cell_type)[0]
-    data.view(cell_type)[..., 0][where] = cell
+    data.view(cell_type)[..., 0][where] = np.zeros((), cell_type)
 
 
 class AffineTransform:
@@ -203,14 +224,13 @@ class AffineTransform:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = _real(matrix, "transform matrix")
+        m = _real(matrix, "transform matrix", copy=True)
         if m.shape != (3, 3):
             raise FlowError(f"transform matrix must be 3x3, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise FlowError("transform matrix must be finite")
         if not np.array_equal(m[2], [0.0, 0.0, 1.0]):
             raise FlowError("transform matrix bottom row must be (0, 0, 1)")
-        m = m.copy()
         m.flags.writeable = False
         self.matrix = m
 
@@ -229,6 +249,7 @@ class AffineTransform:
         Positive angles rotate counter-clockwise in the mathematical sense;
         with the y-down image convention this appears clockwise on screen.
         """
+        cx, cy, degrees = map(_number, (cx, cy, degrees), ("cx", "cy", "rotation angle"))
         if not math.isfinite(degrees):
             raise FlowError(f"rotation angle must be finite, got {degrees!r}")
         a = math.radians(degrees)
@@ -244,6 +265,7 @@ class AffineTransform:
     @classmethod
     def scaling(cls, cx: float, cy: float, factor: float) -> "AffineTransform":
         """Uniform scaling about (cx, cy)."""
+        cx, cy, factor = map(_number, (cx, cy, factor), ("cx", "cy", "scaling factor"))
         return cls(
             [
                 [factor, 0.0, cx * (1.0 - factor)],
@@ -267,7 +289,7 @@ class AffineTransform:
             name, args = str(item[0]).lower(), item[1:]
             if _STEP_ARITY.get(name) != len(args):
                 raise FlowError(f"unknown transform {item!r}")
-            combined = getattr(cls, name)(*map(float, args)) @ combined
+            combined = getattr(cls, name)(*args) @ combined
         return combined
 
     def __matmul__(self, other: "AffineTransform") -> "AffineTransform":
@@ -393,12 +415,8 @@ def _check_cells(h: int, w: int) -> None:
 
 
 def _grid_axes(shape: tuple[int, int], padding) -> tuple[np.ndarray, np.ndarray]:
-    """x (W,) and y (H, 1) coordinate axes of a grid, padded as in `grid_coordinates`.
-
-    This is the one check on a grid shape: both sides must be whole numbers
-    >= 1, else FlowError.
-    """
-    h, w = (_integer(v, 1, f"grid {side}") for side, v in zip(("height", "width"), shape))
+    """x (W,) and y (H, 1) axes of a checked grid, padded as in `grid_coordinates`."""
+    h, w = _grid_shape(shape)
     top, bottom, left, right = (0, 0, 0, 0) if padding is None else _padding(padding)
     _check_cells(h + top + bottom, w + left + right)
     xs = np.arange(-left, w + right, dtype=np.float64)
@@ -419,12 +437,6 @@ def grid_coordinates(shape: tuple[int, int], padding=None) -> np.ndarray:
     grid[..., 0] = xs
     grid[..., 1] = ys
     return grid
-
-
-def zeros(shape: tuple[int, int], reference: Reference | str = Reference.SOURCE) -> FlowField:
-    """All-zero flow (the identity mapping) with an all-true mask."""
-    xs, ys = _grid_axes(shape, None)
-    return FlowField(np.zeros((ys.size, xs.size, 2)), reference)
 
 
 def from_matrix(
@@ -460,6 +472,11 @@ def from_matrix(
     if not np.isfinite(vectors).all():
         raise FlowError("the affine map overflows float64 on this grid")
     return FlowField._trusted(vectors, ref, np.ones(vectors.shape[:2], dtype=bool))
+
+
+def zeros(shape: tuple[int, int], reference: Reference | str = Reference.SOURCE) -> FlowField:
+    """All-zero flow (the identity mapping) with an all-true mask."""
+    return from_matrix(AffineTransform.identity(), shape, reference)
 
 
 def from_transforms(

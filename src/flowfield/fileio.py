@@ -88,6 +88,7 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
         if Path(path).suffix == ".ref":
             raise FlowError(f"{path}: a .flo path ending in .ref needs an explicit reference")
         reference = _read_sidecar(path) or Reference.SOURCE
+    reference = Reference.parse(reference)  # a bad explicit one fails before the file is read
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) < 12:
@@ -111,10 +112,10 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
     # The sentinel is exact in float32, so the payload is compared as read.
     mask = (data[..., 0] != INVALID_SENTINEL) | (data[..., 1] != INVALID_SENTINEL)
     vectors = data.astype(np.float64)
-    _fill_cells(vectors, ~mask, 0.0)  # zero on invalid cells
+    _fill_cells(vectors, ~mask)  # zero on invalid cells
     if not np.isfinite(vectors).all():
         raise FlowError(f"non-finite vector components in a valid cell of {path}")
-    return FlowField._trusted(vectors, Reference.parse(reference), mask)
+    return FlowField._trusted(vectors, reference, mask)
 
 
 def write_image(path, image) -> None:

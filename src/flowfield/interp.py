@@ -222,7 +222,7 @@ def _sample(rows: np.ndarray, mask: np.ndarray, points, n: int):
             scale = np.ones_like(coverage)
             np.divide(1.0, coverage, out=scale, where=ok)
             _scaled(out, scale)
-        _fill_cells(out, ~ok, 0.0)
+        _fill_cells(out, ~ok)
         return ok
 
     for start in range(0, n, _BLOCK):

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compose import _SPANS, ComposeMode, combine
-from .core import _STEP_ARITY, AffineTransform, FlowError, Reference, _integer, from_matrix
+from .compose import _SPANS, combine
+from .core import _STEP_ARITY, AffineTransform, FlowError, Reference, from_matrix
+from .core import _grid_shape, _integer, _mode, _number
 
 __all__ = ["AccuracyReport", "run_trials", "random_transform"]
 
@@ -95,11 +96,11 @@ def random_transform(
     transform parameter is scaled so the largest displacement of the
     source-reference flow over the grid (attained on the corner hull)
     equals a uniform draw from (0, max_magnitude]. A max_magnitude that
-    is negative or not finite raises FlowError.
+    is not one finite number >= 0 raises FlowError.
     """
-    if not 0.0 <= max_magnitude < np.inf:
+    if not 0.0 <= (max_magnitude := _number(max_magnitude, "max_magnitude")) < np.inf:
         raise FlowError(f"max_magnitude must be finite and >= 0, got {max_magnitude!r}")
-    h, w = int(shape[0]), int(shape[1])
+    h, w = _grid_shape(shape)
     kind = TRANSFORM_KINDS[rng.integers(len(TRANSFORM_KINDS))]
     magnitude = rng.uniform(0.0, max_magnitude + 0.0)  # -0.0 + 0.0 is +0.0
     if kind == "translation":
@@ -137,7 +138,7 @@ def trial_matrices(
 
 
 def run_trials(
-    mode: ComposeMode | int,
+    mode: int,
     trials: int,
     size: tuple[int, int] = (150, 250),
     max_magnitude: float = 50.0,
@@ -149,7 +150,7 @@ def run_trials(
     >= 0, and when no trial left a valid vector to compare: an empty
     comparison has no accuracy to report.
     """
-    mode = ComposeMode(mode)
+    mode = _mode(mode)
     trials = _integer(trials, 1, "trials")
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise FlowError(f"seed must be >= 0, got {seed}")

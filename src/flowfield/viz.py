@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference, _integer
+from .core import FlowError, FlowField, Reference, _integer, _number
 from .ops import _far_ends
 
 __all__ = ["render_arrows", "render_colorwheel"]
@@ -57,7 +57,7 @@ def render_colorwheel(field: FlowField, max_magnitude: float | None = None) -> n
     if max_magnitude is None:
         peak = float(magnitude[field.mask].max()) if field.mask.any() else 0.0
         max_magnitude = peak if peak > 0 else 1.0
-    elif not 0 < max_magnitude < np.inf:
+    elif not 0 < (max_magnitude := _number(max_magnitude, "max_magnitude")) < np.inf:
         raise FlowError(f"max_magnitude must be positive and finite, got {max_magnitude}")
     hue = np.degrees(np.arctan2(-vec[..., 1], vec[..., 0])) % 360.0
     # Clipped before the division, which a tiny max_magnitude could overflow.

@@ -77,12 +77,15 @@ class TestMake:
         assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "x.flo").exists()
 
-    def test_bad_size_is_usage_error(self, tmp_path):
-        code = main(
-            ["make", "--transforms", "translation:1,1", "--size", "4by4",
-             "--ref", "s", "-o", str(tmp_path / "x.flo")]
-        )
-        assert code == 1
+    def test_bad_size_is_usage_error(self, tmp_path, capsys):
+        for size in ["4by4", "0x4", "4x-1", "4x4x3", "4", "2.5x4"]:
+            code = main(
+                ["make", "--transforms", "translation:1,1", "--size", size,
+                 "--ref", "s", "-o", str(tmp_path / "x.flo")]
+            )
+            assert code == 1
+            assert capsys.readouterr().err.startswith("usage error: size")
+        assert not (tmp_path / "x.flo").exists()
 
     @pytest.mark.parametrize("command", ["make", "pad", "unpad"])
     @pytest.mark.parametrize("padding", ["-1,0,0,0", "1,2,3", "1.5,0,0,0"])

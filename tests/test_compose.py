@@ -10,7 +10,6 @@ import pytest
 import flowfield.ops
 from flowfield import (
     AffineTransform,
-    ComposeMode,
     FlowError,
     FlowField,
     Reference,
@@ -51,7 +50,7 @@ class TestDispatchTable:
         ],
     )
     def test_abc_assignment(self, mode, ref, expected):
-        assert _abc_times(ComposeMode(mode), ref) == expected
+        assert _abc_times(mode, ref) == expected
 
 
 class TestCombineBasics:
@@ -92,8 +91,18 @@ class TestCombineBasics:
             combine(zeros((4, 5)), zeros((5, 4)), 3)
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(FlowError):
-            combine(zeros((4, 4)), zeros((4, 4)), 4)
+        for mode in (4, "1", 2.5, None, [1]):
+            with pytest.raises(FlowError, match="mode must be 1, 2 or 3"):
+                combine(zeros((4, 4)), zeros((4, 4)), mode)
+
+    def test_numbers_equal_to_a_mode_are_that_mode(self):
+        f12 = from_transforms([("translation", 2, -1)], (6, 7), "s")
+        f23 = from_transforms([("rotation", 3, 2, 5)], (6, 7), "t")
+        want = combine(f12, f23, 3)
+        for mode in (3.0, np.int64(3)):
+            got = combine(f12, f23, mode)
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.mask, want.mask)
 
 
 class TestCombineOracle:
@@ -244,7 +253,7 @@ def combine_via_invert(f_first, f_second, mode, out_ref):
     the B-anchored operand at f_ab's far ends instead of warping it with the
     inverted flow.
     """
-    mode, out_ref = ComposeMode(mode), Reference.parse(out_ref)
+    out_ref = Reference.parse(out_ref)
     first_span, second_span, unknown_span = _SPANS[mode]
     a, b, c = _abc_times(mode, out_ref)
     if set(first_span) == {a, b}:

@@ -22,7 +22,9 @@ from flowfield import (
     map_vectors,
     pad,
     read_image,
+    render_colorwheel,
     resize,
+    run_trials,
     track,
     unpad,
     write_mask,
@@ -30,7 +32,7 @@ from flowfield import (
 )
 from flowfield.core import _where_valid
 from flowfield.interp import masked_bilinear_sample
-from flowfield.verify import trial_matrices
+from flowfield.verify import random_transform, trial_matrices
 
 
 class TestReference:
@@ -200,6 +202,8 @@ SHAPE_CALLERS = {
         np.zeros((1, 2)), np.zeros((1, 2)), shape
     )[0],
 }
+# ... and `run_trials`, whose report has no grid shape to compare.
+SIZE_CALLERS = {**SHAPE_CALLERS, "run_trials": lambda shape: run_trials(1, 1, shape)}
 
 
 class TestGridShape:
@@ -209,14 +213,23 @@ class TestGridShape:
         ids=["negative", "zero-height", "zero-width", "fraction", "near-3", "fraction-width",
              "nan", "inf"],
     )
-    @pytest.mark.parametrize("caller", SHAPE_CALLERS)
+    @pytest.mark.parametrize("caller", SIZE_CALLERS)
     def test_every_entry_point_rejects(self, caller, bad):
         with pytest.raises(FlowError, match="grid (height|width) must be an integer >= 1"):
-            SHAPE_CALLERS[caller](bad)
+            SIZE_CALLERS[caller](bad)
+
+    @pytest.mark.parametrize("bad", [(4,), (10, 12, 3), 5], ids=["one-side", "three-sides", "scalar"])
+    @pytest.mark.parametrize("caller", SIZE_CALLERS)
+    def test_exactly_two_sides(self, caller, bad):
+        with pytest.raises(FlowError, match="grid needs 2 values"):
+            SIZE_CALLERS[caller](bad)
 
     @pytest.mark.parametrize("caller", SHAPE_CALLERS)
     def test_integer_valued_floats_accepted(self, caller):
         assert SHAPE_CALLERS[caller]((2.0, np.int64(3))).shape[:2] == (2, 3)
+
+    def test_run_trials_reads_integer_valued_floats_as_ints(self):
+        assert run_trials(1, 1, (20.0, np.int64(30)), 2.0) == run_trials(1, 1, (20, 30), 2.0)
 
 
 class TestPadding:
@@ -346,6 +359,43 @@ class TestRealInput:
             warnings.simplefilter("error")  # no ComplexWarning on the way
             with pytest.raises(FlowError, match="real numbers"):
                 REAL_CALLERS[caller](NON_REAL[kind])
+
+
+# The one-number parameters, each handed a value that is not one real number:
+# the scalar forms of NON_REAL, with a sequence in place of a ragged nesting.
+NON_NUMBER = {"letters": "a", "numeric-strings": "1.5", "complex": 1j, "sequence": [1.0, 2.0]}
+NUMBER_CALLERS = {
+    "rotation-cx": lambda bad: AffineTransform.rotation(bad, 0, 10),
+    "rotation-cy": lambda bad: AffineTransform.rotation(0, bad, 10),
+    "rotation-angle": lambda bad: AffineTransform.rotation(0, 0, bad),
+    "scaling-cx": lambda bad: AffineTransform.scaling(bad, 0, 2),
+    "scaling-cy": lambda bad: AffineTransform.scaling(0, bad, 2),
+    "scaling-factor": lambda bad: AffineTransform.scaling(0, 0, bad),
+    "from_transforms-step": lambda bad: AffineTransform.from_transforms([("translation", bad, 1)]),
+    "render_colorwheel": lambda bad: render_colorwheel(zeros((2, 3)), bad),
+    "random_transform": lambda bad: random_transform(np.random.default_rng(0), (2, 3), bad),
+    "run_trials": lambda bad: run_trials(1, 1, (10, 12), bad),
+}
+
+
+class TestNumberInput:
+    """A one-number parameter is one real number at every entry, else FlowError."""
+
+    @pytest.mark.parametrize("kind", NON_NUMBER)
+    @pytest.mark.parametrize("caller", NUMBER_CALLERS)
+    def test_every_entry_point_rejects(self, caller, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(FlowError, match="real number"):
+                NUMBER_CALLERS[caller](NON_NUMBER[kind])
+
+    def test_real_types_give_the_same_matrix(self):
+        steps = [("rotation", 3, 2, 30), ("scaling", 1, 1, 2), ("translation", 5, -1)]
+        as_floats = [(name, *map(float, args)) for name, *args in steps]
+        as_numpy = [(name, *map(np.float32, args)) for name, *args in steps]
+        want = AffineTransform.from_transforms(as_floats)
+        assert AffineTransform.from_transforms(steps) == want
+        assert AffineTransform.from_transforms(as_numpy) == want
 
 
 # Masks that are neither bool nor integer, and every entry that takes a mask

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowfield.fileio
 from flowfield import FlowError, FlowField, Reference, zeros
 from flowfield.fileio import (
     _PNM_HEADER,
@@ -203,6 +204,17 @@ class TestSidecar:
         path = tmp_path / "f.flo"
         save_flow(path, zeros((3, 3), "t"))
         assert load_flow(path, "s").reference is Reference.SOURCE
+
+    def test_bad_explicit_reference_fails_before_the_file_is_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.flo"
+        save_flow(path, zeros((3, 3), "t"))
+
+        def opened(*args, **kwargs):
+            raise AssertionError("the .flo file was opened")
+
+        monkeypatch.setattr(flowfield.fileio, "open", opened, raising=False)
+        with pytest.raises(FlowError, match="unknown reference"):
+            load_flow(path, "sideways")
 
     def test_missing_sidecar_defaults_to_source(self, tmp_path):
         path = tmp_path / "f.flo"

@@ -85,7 +85,7 @@ class TestRunTrials:
         with pytest.raises(FlowError, match="trials must be an integer >= 1"):
             run_trials(3, trials)
 
-    @pytest.mark.parametrize("mode", [0, 4, "all"])
+    @pytest.mark.parametrize("mode", [0, 4, "all", "1", 2.5, None, [1]])
     def test_invalid_mode_rejected(self, mode):
         with pytest.raises(FlowError, match="mode must be 1, 2 or 3"):
             run_trials(mode, 1, (10, 12))
