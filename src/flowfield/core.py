@@ -133,20 +133,29 @@ def _array(values, name: str) -> np.ndarray:
         raise FlowError(f"{name} must be real numbers in a rectangular array") from None
 
 
+def _refused(arr: np.ndarray) -> bool:
+    """Whether `_real` refuses `arr`: its dtype, or an object array's str, bytes or numpy item."""
+    if arr.dtype.kind != "O":
+        return arr.dtype.kind not in "biuf"
+    judged = (str, bytes, np.ndarray, np.generic)
+    return any(isinstance(v, judged) and _refused(np.asarray(v)) for v in arr.flat)
+
+
 def _real(values, name: str, copy: bool = False) -> np.ndarray:
     """`values` as a float64 array; a fresh C-ordered one if `copy`, else float64 is not copied.
 
     This is the one check that numbers arriving from outside the program
-    are real: strings, complex values, dates, ragged nestings and objects
-    that do not convert raise FlowError, before numpy can parse a string or
-    drop an imaginary part.
+    are real: strings, complex values and dates (held in an object array
+    too), ragged nestings, ints beyond float64 and objects that do not
+    convert raise FlowError, before numpy can parse a string or drop an
+    imaginary part.
     """
     arr = _array(values, name)
-    if arr.dtype.kind not in "biufO":
+    if _refused(arr):
         raise FlowError(f"{name} must be real numbers, got dtype {arr.dtype}")
     try:
         return arr.astype(np.float64, order="C" if copy else "K", copy=copy)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FlowError(f"{name} must be real numbers") from None
 
 
@@ -189,29 +198,17 @@ def _points(points) -> np.ndarray:
     return pts
 
 
-def _where_valid(mask: np.ndarray, data) -> np.ndarray:
-    """Fresh C-ordered copy of (..., C) `data` whose cells under false `mask` bits are zero bytes.
-
-    For floats that is +0.0 in every channel; kept cells keep their bits.
-    Data shaped like the mask is one channel per cell; one select over whole cells makes it.
-    """
-    data = np.ascontiguousarray(data)
-    if not data.size:  # no cells or no channels: nothing to zero
-        return data.copy()
-    cells = data.view(np.dtype((np.void, data.nbytes // mask.size))).reshape(mask.shape)
-    return np.where(mask, cells, np.zeros((), cells.dtype)).view(data.dtype).reshape(data.shape)
-
-
-def _fill_cells(data: np.ndarray, where: np.ndarray) -> None:
+def _fill_cells(data: np.ndarray, where: np.ndarray) -> np.ndarray:
     """Zero the bytes of the (..., C) cells of `data` under true `where` bits (+0.0 for floats).
 
-    Works in place, writing each cell as one item, as `_where_valid` selects
-    cells; `data` must be a writable C-contiguous array.
+    Works in place, writing each cell as one item, and returns `data`, which
+    must be a writable C-contiguous array. This is the one code that zeroes
+    cells: a masked copy is a fresh copy filled here.
     """
-    if not data.size:  # no cells or no channels: nothing to fill
-        return
-    cell_type = np.dtype((np.void, data.itemsize * data.shape[-1]))
-    data.view(cell_type)[..., 0][where] = np.zeros((), cell_type)
+    if data.size:  # no cells or no channels have nothing to fill
+        cell_type = np.dtype((np.void, data.itemsize * data.shape[-1]))
+        data.view(cell_type)[..., 0][where] = np.zeros((), cell_type)
+    return data
 
 
 class AffineTransform:
@@ -360,7 +357,7 @@ class FlowField:
 
     @classmethod
     def _trusted(cls, vectors: np.ndarray, reference: Reference, mask: np.ndarray) -> "FlowField":
-        """Adopt freshly allocated kernel output without a copy or a scan.
+        """Adopt freshly allocated output without a copy or a scan.
 
         The caller guarantees what the public constructor checks: float64
         (H, W, 2) vectors, a bool mask of the same grid and finite vectors
@@ -401,7 +398,7 @@ class FlowField:
         """
         if self._mask.all():
             return self._vectors
-        return _where_valid(self._mask, self._vectors)
+        return _fill_cells(self._vectors.copy(), ~self._mask)
 
     def __repr__(self) -> str:
         h, w = self.shape
@@ -500,9 +497,9 @@ def pad(field: FlowField, padding) -> FlowField:
     _check_cells(h + top + bottom, w + left + right)
     vectors = np.zeros((h + top + bottom, w + left + right, 2))
     mask = np.zeros(vectors.shape[:2], dtype=bool)
-    vectors[top : top + h, left : left + w] = field.masked_vectors()
+    vectors[top : top + h, left : left + w] = field.vectors
     mask[top : top + h, left : left + w] = field.mask
-    return FlowField(vectors, field.reference, mask)
+    return FlowField._trusted(_fill_cells(vectors, ~mask), field.reference, mask)
 
 
 def unpad(field: FlowField, padding) -> FlowField:
@@ -511,6 +508,6 @@ def unpad(field: FlowField, padding) -> FlowField:
     h, w = field.shape
     if top + bottom + 1 > h or left + right + 1 > w:
         raise FlowError(f"cannot unpad {p} from a {h}x{w} field")
-    vectors = field.masked_vectors()[top : h - bottom, left : w - right]
-    mask = field.mask[top : h - bottom, left : w - right]
-    return FlowField(vectors, field.reference, mask)
+    vectors = field.vectors[top : h - bottom, left : w - right].copy()
+    mask = field.mask[top : h - bottom, left : w - right].copy()
+    return FlowField._trusted(_fill_cells(vectors, ~mask), field.reference, mask)

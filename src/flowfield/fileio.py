@@ -111,8 +111,7 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
     data = np.frombuffer(payload, "<f4").reshape(h, w, 2)
     # The sentinel is exact in float32, so the payload is compared as read.
     mask = (data[..., 0] != INVALID_SENTINEL) | (data[..., 1] != INVALID_SENTINEL)
-    vectors = data.astype(np.float64)
-    _fill_cells(vectors, ~mask)  # zero on invalid cells
+    vectors = _fill_cells(data.astype(np.float64), ~mask)  # zero on invalid cells
     if not np.isfinite(vectors).all():
         raise FlowError(f"non-finite vector components in a valid cell of {path}")
     return FlowField._trusted(vectors, reference, mask)

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, _fill_cells, _grid_axes, _mask, _points, _real, _where_valid
+from .core import FlowError, _fill_cells, _grid_axes, _mask, _points, _real
 
 __all__ = [
     "MASK_SAMPLE_THRESHOLD",
@@ -237,10 +237,11 @@ def _clean(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     A partial mask zeroes a copy; a full one returns `rows` itself. Raises
     FlowError when a valid cell holds a non-finite value.
     """
-    clean = rows if mask.all() else _where_valid(mask.reshape(-1), rows)
-    if not np.isfinite(clean).all():
+    if not mask.all():
+        rows = _fill_cells(rows.copy(), ~mask.reshape(-1))
+    if not np.isfinite(rows).all():
         raise FlowError("data must be finite on valid cells")
-    return clean
+    return rows
 
 
 def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:

@@ -40,10 +40,10 @@ from .core import (
     FlowField,
     Reference,
     _check_cells,
+    _fill_cells,
     _mask,
     _points,
     _real,
-    _where_valid,
     grid_coordinates,
 )
 from .interp import (
@@ -375,7 +375,7 @@ def map_vectors(field: FlowField, func) -> FlowField:
     array of the same shape (e.g. ``lambda v: v ** 3``). Producing
     non-finite values on valid cells is an error; invalid cells come back zero.
     """
-    out = _real(func(field.masked_vectors()), "mapped vectors")
+    out = _real(func(field.masked_vectors()), "mapped vectors", copy=True)
     if out.shape != field.vectors.shape:
         raise FlowError(f"mapped vectors have shape {out.shape}, expected {field.vectors.shape}")
-    return FlowField(_where_valid(field.mask, out), field.reference, field.mask)
+    return FlowField(_fill_cells(out, ~field.mask), field.reference, field.mask)

@@ -30,8 +30,8 @@ from flowfield import (
     write_mask,
     zeros,
 )
-from flowfield.core import _where_valid
-from flowfield.interp import masked_bilinear_sample
+from flowfield.core import _fill_cells
+from flowfield.interp import _clean, masked_bilinear_sample
 from flowfield.verify import random_transform, trial_matrices
 
 
@@ -115,7 +115,7 @@ class TestFlowField:
                 FlowField(vectors, "s")
 
 
-# Bit patterns a select must carry through untouched: -0.0, a quiet NaN with
+# Bit patterns a zeroed copy must carry through untouched: -0.0, a quiet NaN with
 # a payload, a signalling NaN, -inf, the smallest subnormal and the largest float.
 _ODD_BITS = np.array(
     [0x8000000000000000, 0x7FF8000000001234, 0x7FF0000000000001,
@@ -124,8 +124,18 @@ _ODD_BITS = np.array(
 ).view(np.float64)
 
 
+def _zeroed(mask, data):
+    """A fresh C-ordered copy of `data`, filled by `core._fill_cells` under false `mask` bits."""
+    return _fill_cells(data.copy(), ~mask)
+
+
 class TestWhereValid:
-    """`core._where_valid` keeps the bits of kept cells and zeroes dropped ones as +0.0."""
+    """Cells are zeroed one way: a fresh copy that `core._fill_cells` fills in place.
+
+    Kept cells keep their bits and dropped ones become +0.0, whatever the
+    input's layout; `masked_vectors`, `interp._clean` and `map_vectors` zero
+    this way.
+    """
 
     @staticmethod
     def _data(rng, shape):
@@ -151,7 +161,7 @@ class TestWhereValid:
         before = data.copy()
         mask = rng.uniform(size=cells) < 0.5
         mask.ravel()[:2] = (True, False)
-        out = _where_valid(mask, data)
+        out = _zeroed(mask, data)
         assert out.shape == shape and out.dtype == np.float64
         assert not np.shares_memory(out, data)
         assert np.ascontiguousarray(data).tobytes() == before.tobytes()  # input untouched
@@ -159,17 +169,10 @@ class TestWhereValid:
         assert np.array_equal(bits[mask], data.copy().view(np.uint64)[mask])
         assert not bits[~mask].any()  # +0.0: no sign bit, no payload
 
-    def test_data_shaped_like_the_mask_is_one_channel(self):
-        data = np.resize(_ODD_BITS, (4, 6))
-        mask = np.arange(24).reshape(4, 6) % 3 == 0
-        out = _where_valid(mask, data)
-        assert out.shape == (4, 6)
-        assert np.array_equal(out.view(np.uint64), np.where(mask, data.view(np.uint64), 0))
-
     def test_float32_cells(self):
         data = np.arange(12, dtype=np.float32).reshape(3, 2, 2) - 20.0
         mask = np.array([[True, False], [False, True], [True, True]])
-        out = _where_valid(mask, data)
+        out = _zeroed(mask, data)
         assert out.dtype == np.float32
         assert np.array_equal(out, np.where(mask[..., None], data, np.float32(0.0)))
         assert not np.signbit(out[~mask]).any()
@@ -177,9 +180,26 @@ class TestWhereValid:
     @pytest.mark.parametrize("cells, keep", [(3, True), (3, False), (0, True)])
     def test_uniform_and_empty_masks(self, cells, keep):
         data = np.full((cells, 2), -0.0)
-        out = _where_valid(np.full(cells, keep), data)
+        out = _zeroed(np.full(cells, keep), data)
         assert out.shape == data.shape
         assert np.array_equal(np.signbit(out), np.full(data.shape, keep))
+
+    @pytest.mark.parametrize("caller", ["masked_vectors", "_clean", "map_vectors"])
+    def test_callers_zero_a_copy_as_the_fill_does(self, caller):
+        rng = np.random.default_rng(3)
+        mask = rng.uniform(size=(5, 8)) < 0.5
+        # Finite odd bits on kept cells, as a field or checked data holds them.
+        data = self._data(rng, (5, 8, 2))
+        data[~np.isfinite(data)] = -0.0
+        poisoned = np.where(mask[..., None], data, np.nan)
+        want = _zeroed(mask, data)
+        if caller == "masked_vectors":
+            out = FlowField(poisoned, "s", mask).masked_vectors()
+        elif caller == "_clean":
+            out = _clean(poisoned.reshape(40, 2), mask).reshape(5, 8, 2)
+        else:
+            out = map_vectors(FlowField(poisoned, "s", mask), lambda v: v).vectors
+        assert out.tobytes() == want.tobytes()
 
 
 # Every function that takes padding, called on a 4x5 grid.
@@ -329,6 +349,10 @@ NON_REAL = {
     "numeric-strings": lambda shape: np.full(shape, "1.5"),
     "complex": lambda shape: np.ones(shape, complex),
     "ragged": lambda shape: [[0.0], *np.zeros(shape).tolist()[1:]],
+    # numpy holds these in object arrays, whose elements `float()` would take.
+    "object-numeric-strings": lambda shape: np.full(shape, "1.5", dtype=object),
+    "object-bytes": lambda shape: np.full(shape, b"2", dtype=object),
+    "huge-int": lambda shape: np.full(shape, 10**400, dtype=object),
 }
 REAL_CALLERS = {
     "FlowField": lambda bad: FlowField(bad((2, 3, 2)), "s"),
@@ -363,7 +387,14 @@ class TestRealInput:
 
 # The one-number parameters, each handed a value that is not one real number:
 # the scalar forms of NON_REAL, with a sequence in place of a ragged nesting.
-NON_NUMBER = {"letters": "a", "numeric-strings": "1.5", "complex": 1j, "sequence": [1.0, 2.0]}
+NON_NUMBER = {
+    "letters": "a",
+    "numeric-strings": "1.5",
+    "complex": 1j,
+    "sequence": [1.0, 2.0],
+    "object-numeric-string": np.array("1.5", dtype=object),
+    "huge-int": 10**400,
+}
 NUMBER_CALLERS = {
     "rotation-cx": lambda bad: AffineTransform.rotation(bad, 0, 10),
     "rotation-cy": lambda bad: AffineTransform.rotation(0, bad, 10),

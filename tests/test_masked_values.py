@@ -34,7 +34,7 @@ from flowfield import (
     zeros,
 )
 
-from conftest import assert_invariants, random_affine_flow
+from conftest import assert_fresh_output, random_affine_flow
 
 SHAPE = (9, 11)
 _RNG = np.random.default_rng(5)
@@ -141,6 +141,8 @@ def test_field_output_keeps_invariants(name, ref, shape, valid_share, tmp_path):
     mask = rng.uniform(size=shape) < valid_share
     vectors = np.where(mask[..., None], rng.uniform(-2.0, 2.0, (*shape, 2)), np.nan)
     vectors[..., 1][~mask] = 1e308
-    out, reference = FIELD_OPS[name](FlowField(vectors, ref, mask), tmp_path)
+    field = FlowField(vectors, ref, mask)
+    out, reference = FIELD_OPS[name](field, tmp_path)
     assert out.reference is reference
-    assert_invariants(out)
+    assert_fresh_output(out, field)
+    assert out.vectors.flags.c_contiguous and out.mask.flags.c_contiguous

@@ -40,24 +40,38 @@ def test_core_imports_no_other_flowfield_module():
     assert not {name for name in imported if name.startswith((".", "flowfield"))}
 
 
-def test_masks_become_bool_only_in_core_mask():
-    """Caller masks have one check: no src function but `core._mask` calls `.astype(bool)`."""
-    calls = []
+def _owners(match) -> list[str]:
+    """`module.function` of every src AST node that `match` accepts, in walk order."""
+    found = []
     for path in sorted(Path(flowfield.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        # Walked breadth first, so a nested function claims its calls last.
+        # Walked breadth first, so a nested function claims its nodes last.
         owner = {
             id(node): func.name
             for func in ast.walk(tree)
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(func)
         }
-        calls += [
+        found += [
             f"{path.stem}.{owner.get(id(node), '<module>')}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "astype"
-            and any("bool" in ast.unparse(arg) for arg in node.args)
+            if match(node)
         ]
+    return found
+
+
+def test_masks_become_bool_only_in_core_mask():
+    """Caller masks have one check: no src function but `core._mask` calls `.astype(bool)`."""
+    calls = _owners(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "astype"
+        and any("bool" in ast.unparse(arg) for arg in node.args)
+    )
     assert calls == ["core._mask"]
+
+
+def test_cells_are_zeroed_only_in_core_fill_cells():
+    """One zeroing primitive: no src function but `core._fill_cells` builds an `np.void` cell view."""
+    views = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "void")
+    assert views == ["core._fill_cells"]

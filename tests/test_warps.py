@@ -32,7 +32,6 @@ from flowfield import (
     valid_target,
     zeros,
 )
-from flowfield.core import _where_valid
 from flowfield.interp import _BLOCK, masked_bilinear_sample
 from flowfield.ops import _far_ends, _pull, _push
 
@@ -53,7 +52,7 @@ def push_grid(field, data, data_mask):
     ends = far_ends_grid(field)
     ends[~kept] = -3.0  # outside the retention band [-1, W] x [-1, H]
     # The public splat refuses junk; a dropped sample's value is never read.
-    values = _where_valid(kept, data).reshape(kept.size, -1)
+    values = np.where(kept[..., None], data, 0.0).reshape(kept.size, -1)
     return grid_from_unstructured_data(ends.reshape(-1, 2), values, field.shape)
 
 
@@ -148,7 +147,7 @@ class Case:
         self.data = _values(rng, (h, w, channels), case["scale"])
         self.data_mask = _mask(rng, (h, w), case["data_mask"])
         self.junk_data = _with_junk(self.data, self.data_mask)
-        self.clean_data = _where_valid(self.data_mask, self.data)
+        self.clean_data = np.where(self.data_mask[..., None], self.data, 0.0)
 
     def same(self, got, want):
         """Both ops run with the case's kernel block size."""
@@ -236,7 +235,7 @@ class TestPushIsThePublicSplat:
     def test_same_bytes(self, block, case):
         c = Case({**case, "block": block})
         kept = c.field.mask & c.data_mask
-        values = _where_valid(kept, c.junk_data).reshape(kept.size, -1)
+        values = np.where(kept[..., None], c.junk_data, 0.0).reshape(kept.size, -1)
 
         def public():
             ends = np.stack(_far_ends(c.field, kept=kept), axis=-1).reshape(-1, 2)
