@@ -278,11 +278,12 @@ class AffineTransform:
         Accepted forms: ('translation', tx, ty), ('rotation', cx, cy,
         degrees) and ('scaling', cx, cy, factor).
         """
+        if not np.iterable(transforms):
+            raise FlowError(f"transforms must be a sequence of entries, got {transforms!r}")
         combined = cls.identity()
         for item in transforms:
-            item = tuple(item)
-            if not item:
-                raise FlowError("empty transform entry")
+            if not np.iterable(item) or not (item := tuple(item)):
+                raise FlowError(f"transform entry must be (name, *args), got {item!r}")
             name, args = str(item[0]).lower(), item[1:]
             if _STEP_ARITY.get(name) != len(args):
                 raise FlowError(f"unknown transform {item!r}")

@@ -8,6 +8,8 @@ in both channels and recovered as mask-false zeros on read, while the
 reference lives in an optional one-line sidecar next to the file (same
 basename, suffix .ref, containing 's' or 't'). `save_flow` writes both
 files and `load_flow` reads both; they are the only .flo writer and reader.
+`load_flow` reads the payload, from a file or a pipe alike, in bounded
+chunks, so its memory follows the bytes that arrive, not the header's claim.
 
 Since the container is float32, a written-then-read field is bit-exact
 only for float32-representable vectors.
@@ -20,9 +22,7 @@ Every reader rejects malformed bytes with FlowError.
 
 from __future__ import annotations
 
-import os
 import re
-import stat
 import struct
 from pathlib import Path
 
@@ -43,6 +43,7 @@ __all__ = [
 FLO_MAGIC = 202021.25  # float32 bytes spell "PIEH"
 INVALID_SENTINEL = 1e9
 MAX_DIM = 65535
+_READ_CHUNK = 1 << 24  # 16 MiB: the most one read of a .flo payload asks for
 
 
 def _read_sidecar(flo_path) -> Reference | None:
@@ -98,17 +99,15 @@ def load_flow(path, reference: Reference | str | None = None) -> FlowField:
             raise FlowError(f"{path}: bad .flo magic {magic!r}")
         if not (0 < w <= MAX_DIM and 0 < h <= MAX_DIM):
             raise FlowError(f"{path}: implausible .flo dims {w}x{h}")
-        # The header's size is only a claim: a regular file must hold that
-        # many bytes before any is read, and nothing past them is read. A
-        # pipe has no size to check; its read stops where the pipe ends.
-        size = h * w * 2 * 4
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < size:
-            raise FlowError(f"{path}: truncated .flo payload")
-        payload = fh.read(size)
-    if len(payload) < size:
+        # The header's size is only a claim: read chunks until it is met or
+        # the stream ends, never past it, so memory follows what arrives.
+        chunks, missing = [], h * w * 2 * 4
+        while missing and (chunk := fh.read(min(missing, _READ_CHUNK))):
+            chunks.append(chunk)
+            missing -= len(chunk)
+    if missing:
         raise FlowError(f"{path}: truncated .flo payload")
-    data = np.frombuffer(payload, "<f4").reshape(h, w, 2)
+    data = np.frombuffer(b"".join(chunks), "<f4").reshape(h, w, 2)  # one chunk is not copied
     # The sentinel is exact in float32, so the payload is compared as read.
     mask = (data[..., 0] != INVALID_SENTINEL) | (data[..., 1] != INVALID_SENTINEL)
     vectors = _fill_cells(data.astype(np.float64), ~mask)  # zero on invalid cells

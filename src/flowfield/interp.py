@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, _fill_cells, _grid_axes, _mask, _points, _real
+from .core import FlowError, _check_cells, _fill_cells, _grid_shape, _mask, _points, _real
 
 __all__ = [
     "MASK_SAMPLE_THRESHOLD",
@@ -372,8 +372,8 @@ def grid_from_unstructured_data(positions, values, shape: tuple[int, int]):
     grid : ndarray, shape (H, W) or (H, W, C) matching the values rank
     mask : ndarray of bool, shape (H, W)
     """
-    xs, ys = _grid_axes(shape, None)
-    h, w = ys.size, xs.size
+    h, w = _grid_shape(shape)
+    _check_cells(h, w)
     pts = _points(positions)
     vals = _real(values, "values")
     squeeze = vals.ndim == 1

@@ -45,6 +45,7 @@ from .core import (
     _points,
     _real,
     grid_coordinates,
+    unpad,
 )
 from .interp import (
     _OFF_GRID,
@@ -230,7 +231,7 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
         raise FlowError(f"resize to {(new_h, new_w)} would produce an empty grid")
     _check_cells(new_h, new_w)
     if (new_h, new_w) == (h, w) and sy == 1.0 and sx == 1.0:
-        return FlowField(field.masked_vectors(), field.reference, field.mask)
+        return unpad(field, (0, 0, 0, 0))
 
     # Corner-aligned sample positions in the old grid.
     xs = np.linspace(0.0, w - 1.0, new_w) if new_w > 1 else np.zeros(1)
@@ -240,7 +241,7 @@ def resize(field: FlowField, scale: tuple[float, float]) -> FlowField:
     rows = field.masked_vectors().reshape(h * w, 2)
     sampled, valid = _sample(rows, field.mask, lambda block: (x[block], y[block]), x.size)
     with np.errstate(over="ignore"):
-        vectors = sampled.reshape(new_h, new_w, 2) * (sx, sy)
+        vectors = np.multiply(sampled, (sx, sy), out=sampled).reshape(new_h, new_w, 2)
     if not np.isfinite(vectors).all():
         raise FlowError("resized vectors overflow float64")
     return FlowField._trusted(vectors, field.reference, valid.reshape(new_h, new_w))
@@ -378,4 +379,6 @@ def map_vectors(field: FlowField, func) -> FlowField:
     out = _real(func(field.masked_vectors()), "mapped vectors", copy=True)
     if out.shape != field.vectors.shape:
         raise FlowError(f"mapped vectors have shape {out.shape}, expected {field.vectors.shape}")
-    return FlowField(_fill_cells(out, ~field.mask), field.reference, field.mask)
+    if not np.isfinite(_fill_cells(out, ~field.mask)).all():
+        raise FlowError("non-finite vector components inside the valid mask")
+    return FlowField._trusted(out, field.reference, field.mask.copy())

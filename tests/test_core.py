@@ -514,6 +514,11 @@ class TestAffineTransform:
             AffineTransform.from_transforms([("shear", 1, 2)])
         with pytest.raises(FlowError):
             AffineTransform.from_transforms([("rotation", 1)])
+        for transforms in (None, [5], [None], [()]):
+            with pytest.raises(FlowError):
+                AffineTransform.from_transforms(transforms)
+            with pytest.raises(FlowError):
+                from_transforms(transforms, (3, 4), "s")
 
     def test_singular_inverse_rejected(self):
         with pytest.raises(FlowError):

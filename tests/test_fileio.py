@@ -157,6 +157,25 @@ class TestFloFormat:
         with pytest.raises(FlowError, match="truncated"):
             load_flow(path)
 
+    def test_claimed_dims_do_not_size_a_pipe_read(self, tmp_path):
+        # The same 32 GiB claim through a pipe, which has no size to check:
+        # the read is refused as truncated, and memory follows the 64 bytes sent.
+        pipe = tmp_path / "claims.flo"
+        os.mkfifo(pipe)
+        blob = struct.pack("<fii", FLO_MAGIC, 65535, 65535) + b"\0" * 64
+        writer = threading.Thread(target=lambda: pipe.write_bytes(blob))
+        writer.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FlowError, match="truncated"):
+                load_flow(pipe, "s")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert peak < 64 << 20
+
     def test_tail_past_the_payload_is_not_read(self, tmp_path):
         # A 2x2 field followed by a 64 MiB sparse tail: only the 32 payload
         # bytes are read, not the rest of the file.
@@ -186,6 +205,18 @@ class TestFloFormat:
         finally:
             writer.join()
         assert np.array_equal(field.vectors, np.arange(8.0).reshape(2, 2, 2))
+
+    def test_payload_split_across_chunks_reads_back(self, tmp_path, monkeypatch):
+        # Chunks of 7 bytes split floats and cells; joined, they give the same field.
+        monkeypatch.setattr(flowfield.fileio, "_READ_CHUNK", 7)
+        mask = np.ones((3, 4), bool)
+        mask[1, 2] = False
+        field = FlowField(np.arange(24.0).reshape(3, 4, 2), "t", mask)
+        path = tmp_path / "chunks.flo"
+        save_flow(path, field)
+        loaded = load_flow(path)
+        assert np.array_equal(loaded.vectors, field.masked_vectors())
+        assert np.array_equal(loaded.mask, mask)
 
     def test_oversized_field_refused_on_write(self, tmp_path):
         wide = zeros((1, 65536))

@@ -71,6 +71,20 @@ def test_masks_become_bool_only_in_core_mask():
     assert calls == ["core._mask"]
 
 
+def test_library_output_skips_the_public_constructor():
+    """No op rebuilds its output through the public constructor.
+
+    Ops adopt what they build through `FlowField._trusted`; only the demo's
+    test oracle calls `FlowField`.
+    """
+    calls = _owners(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "FlowField"
+    )
+    assert calls == ["demo.analytic_flow_2_to_3"]
+
+
 def test_cells_are_zeroed_only_in_core_fill_cells():
     """One zeroing primitive: no src function but `core._fill_cells` builds an `np.void` cell view."""
     views = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "void")
