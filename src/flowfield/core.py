@@ -13,7 +13,8 @@ right) sequence of non-negative integers, checked by `_padding`, a grid
 shape by `_grid_shape` and a composition mode by `_mode`. Numbers from
 outside the program become float64 through `_real`, or one Python float
 through `_number`, refusing strings, complex values and ragged nestings;
-masks become fresh bool arrays through `_mask` (bool or integer dtype, exact shape).
+masks become fresh bool arrays through `_mask` (bool or integer dtype,
+exact shape). Every cell under a false bit is zeroed by `_fill_cells`.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def _fill_cells(data: np.ndarray, where: np.ndarray) -> np.ndarray:
     """Zero the bytes of the (..., C) cells of `data` under true `where` bits (+0.0 for floats).
 
     Works in place, writing each cell as one item, and returns `data`, which
-    must be a writable C-contiguous array. This is the one code that zeroes
-    cells: a masked copy is a fresh copy filled here.
+    must be a writable C-contiguous array. It is the one code that zeroes
+    cells: of masked copies and `pad`'s border, of `interp._sample`'s and
+    `interp._splat`'s unmasked quotients and of the wheel's invalid pixels.
     """
     if data.size:  # no cells or no channels have nothing to fill
         cell_type = np.dtype((np.void, data.itemsize * data.shape[-1]))
@@ -496,7 +498,7 @@ def pad(field: FlowField, padding) -> FlowField:
     top, bottom, left, right = _padding(padding)
     h, w = field.shape
     _check_cells(h + top + bottom, w + left + right)
-    vectors = np.zeros((h + top + bottom, w + left + right, 2))
+    vectors = np.empty((h + top + bottom, w + left + right, 2))
     mask = np.zeros(vectors.shape[:2], dtype=bool)
     vectors[top : top + h, left : left + w] = field.vectors
     mask[top : top + h, left : left + w] = field.mask

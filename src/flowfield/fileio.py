@@ -3,11 +3,11 @@
 Flow fields travel as Middlebury .flo files: a float32 magic (the bytes
 "PIEH"), int32 width and height, then height x width x 2 little-endian
 float32 vectors interleaved (u = x, v = y), row-major. The format carries
-neither mask nor reference: invalid cells are written as the sentinel 1e9
-in both channels and recovered as mask-false zeros on read, while the
-reference lives in an optional one-line sidecar next to the file (same
-basename, suffix .ref, containing 's' or 't'). `save_flow` writes both
-files and `load_flow` reads both; they are the only .flo writer and reader.
+neither mask nor reference: a cell is invalid when both channels hold the
+sentinel 1e9 (one two-plane rule for `save_flow` and `load_flow`) and reads
+back as a mask-false zero; the reference lives in an optional one-line
+sidecar of the same basename, suffix .ref, holding 's' or 't'. `save_flow`
+and `load_flow`, the only .flo writer and reader, handle both files.
 `load_flow` reads the payload, from a file or a pipe alike, in bounded
 chunks, so its memory follows the bytes that arrive, not the header's claim.
 
@@ -67,7 +67,7 @@ def save_flow(path, field: FlowField) -> None:
         raise FlowError(f"flow dims {(h, w)} exceed the .flo limit of {MAX_DIM}")
     with np.errstate(over="ignore"):
         data = field.vectors.astype("<f4")
-    if (np.all(data == INVALID_SENTINEL, axis=2) & field.mask).any():
+    if ((data[..., 0] == INVALID_SENTINEL) & (data[..., 1] == INVALID_SENTINEL) & field.mask).any():
         raise FlowError(f"a valid vector equals the invalid-cell sentinel {INVALID_SENTINEL:g}")
     data[~field.mask] = INVALID_SENTINEL
     if not np.isfinite(data).all():

@@ -18,10 +18,12 @@ into blocks of the fixed `_BLOCK`, in order, so that each block's
 temporaries stay in cache. The splat sums block by block, so its bits
 depend on that size; the kernels make the cut themselves, so they never
 depend on the caller. Blends loop over the few channels, scaling one
-strided column per channel, and a block's invalid rows are zeroed whole
-cells at a time (`core._fill_cells`), so no per-point weight or mask bit is
-broadcast over a channel axis only 2 or 3 long; the products and sums are
-those of the broadcast form, bit for bit.
+strided column per channel, so no per-point weight is broadcast over a
+channel axis only 2 or 3 long; the products and sums are those of the
+broadcast form, bit for bit. Both finish unmasked, float errors ignored:
+each sampled row is scaled by its coverage's reciprocal and each splatted
+cell divided by its weight, then `core._fill_cells` zeroes those below
+threshold whole.
 
 Each kernel asks a point source, `points(block) -> (x, y)`, for the points
 of each block, a slice of the point indices: two C-contiguous float64
@@ -34,23 +36,20 @@ cells they drop at `_OFF_GRID`.
 Caller data is checked where it enters: at a public function, or at
 `ops.apply`. Grid data is read by `_grid_rows` and goes through `_clean`
 (both halves of `apply` too), which zeroes a copy under false mask bits
-and scans the rest for non-finite values (the public splat, which `apply`
-of a source flow calls next, scans it again). The private entries take
-data with no copy and no scan: `_sample` takes rows that are finite and
-zero on invalid cells, and `_splat` takes any value for a sample it drops.
+and scans the rest for non-finite values. The private entries take data
+with no copy and no scan: `_sample` takes rows that are finite and zero
+on invalid cells, and `_splat` takes any value for a sample it drops.
 
-The splat sums into one accumulator, over the grid plus a border (two
-cells before, three after) that holds every corner once each sample's cell
-is clamped to it, so no corner is masked. The weight has a float64 row.
-The channels go in pairs, each pair one complex128 row whose real and
-imaginary parts are the two channels, plus a float64 row for an odd
-channel out. Each product is a real one, written into its part, and a
-complex add adds the two parts separately, so one `np.add.at` sums two
-channels and each sums exactly as it would alone. Each block adds its four
-corners in turn straight into the accumulator with `np.add.at`, which adds
-in sample order, so each cell sums block by block, corner by corner within
-a block and in sample order within a corner. The thresholds are fixed
-constants, not parameters: a splatted cell needs more than
+The splat sums into one bordered accumulator (see `_splat`) with a
+float64 weight row. The channels go in pairs, each pair one complex128 row
+whose real and imaginary parts are the two channels, plus a float64 row
+for an odd channel out. Each product is a real one, written into its part,
+and a complex add adds the two parts separately, so one `np.add.at` sums
+two channels and each sums exactly as it would alone. Each block adds its
+four corners in turn straight into the accumulator with `np.add.at`, which
+adds in sample order, so each cell sums block by block, corner by corner
+within a block and in sample order within a corner. The thresholds are
+fixed constants, not parameters: a splatted cell needs more than
 `WEIGHT_THRESHOLD` accumulated weight, and a position within
 `OUT_OF_BOUNDS_TOL` of the grid counts as inside it.
 """
@@ -219,9 +218,8 @@ def _sample(rows: np.ndarray, mask: np.ndarray, points, n: int):
         if cells is not None:
             coverage = _blend(cells, index, weight)
             ok &= coverage >= MASK_SAMPLE_THRESHOLD
-            scale = np.ones_like(coverage)
-            np.divide(1.0, coverage, out=scale, where=ok)
-            _scaled(out, scale)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                _scaled(out, np.divide(1.0, coverage, out=coverage))
         _fill_cells(out, ~ok)
         return ok
 
@@ -330,11 +328,12 @@ def _splat(points, vals: np.ndarray, h: int, w: int, negate: bool = False):
 
     weight = grid(weight_sum)
     mask = weight > WEIGHT_THRESHOLD
-    out = np.zeros((h, w, n_channels), dtype=np.float64)
+    out = np.empty((h, w, n_channels))
     channels = [part for row in pairs for part in (row.real, row.imag)] + odd
-    for c, sums in enumerate(channels):
-        np.divide(grid(sums), weight, out=out[..., c], where=mask)
-    if not np.isfinite(out).all():
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for c, sums in enumerate(channels):
+            np.divide(grid(sums), weight, out=out[..., c])
+    if not np.isfinite(_fill_cells(out, ~mask)).all():
         raise FlowError("splatted values overflow float64")
     return out, mask
 

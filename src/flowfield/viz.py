@@ -1,17 +1,18 @@
 """Flow field visualization: color-wheel images and arrow overlays.
 
 Color-wheel rendering maps each vector's direction to hue and its
-magnitude to saturation (value is fixed at 1), so zero flow renders white
-and invalid cells render black. The hue origin is at rightward vectors,
-and the angle is measured so upward motion (negative y in image
-coordinates) keeps its on-screen orientation.
+magnitude to saturation (value is fixed at 1), so zero flow renders white;
+invalid cells are zeroed black by `core._fill_cells`. The hue origin is at
+rightward vectors, and the angle is measured so upward motion (negative y
+in image coordinates) keeps its on-screen orientation. The wheel is its
+closed form, a clipped min or max of two lines per channel (`_wheel_rgb`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FlowError, FlowField, Reference, _integer, _number
+from .core import FlowError, FlowField, Reference, _fill_cells, _integer, _number
 from .ops import _far_ends
 
 __all__ = ["render_arrows", "render_colorwheel"]
@@ -25,18 +26,18 @@ def _wheel_rgb(hue_deg: np.ndarray, sat: np.ndarray) -> np.ndarray:
 
     Channel c is 1 - sat * w, where over the six 60-degree hue sectors w
     runs (0, f, 1, 1, 1 - f, 0), f being the hue's fraction through its
-    sector, from sector 0 for red, 4 for green and 2 for blue. A hue of
-    exactly 360 is sector 6 with f = 0, which wraps to sector 0.
+    sector, from sector 0 for red, 4 for green and 2 for blue. With h =
+    hue / 60, w is red's min(h - 1, 5 - h), green's max(1 - h, h - 3) and
+    blue's max(3 - h, h - 5), clipped to [0, 1], with no wrap at h = 6.
+    Unclipped, h - 1, 1 - h, h - 3 and h - 5 are the sector form's own f
+    or 1 - f, and 5 - h, 3 - h equal its 1 - f, both exact (Sterbenz).
     """
     h = hue_deg / 60.0
-    sector = np.floor(h)
-    f = h - sector
-    sector = sector.astype(int)
-    weights = [0.0, f, 1.0, 1.0, 1.0 - f, 0.0]
     rgb = np.empty((*h.shape, 3))
-    for c, first in enumerate((0, 4, 2)):
-        rgb[..., c] = np.choose(sector, weights[first:] + weights[:first], mode="wrap")
-    rgb *= sat[..., None]
+    np.minimum(h - 1.0, 5.0 - h, out=rgb[..., 0])
+    np.maximum(1.0 - h, h - 3.0, out=rgb[..., 1])
+    np.maximum(3.0 - h, h - 5.0, out=rgb[..., 2])
+    np.multiply(np.clip(rgb, 0.0, 1.0, out=rgb), sat[..., None], out=rgb)
     return np.subtract(1.0, rgb, out=rgb)
 
 
@@ -62,9 +63,7 @@ def render_colorwheel(field: FlowField, max_magnitude: float | None = None) -> n
     hue = np.degrees(np.arctan2(-vec[..., 1], vec[..., 0])) % 360.0
     # Clipped before the division, which a tiny max_magnitude could overflow.
     sat = np.minimum(magnitude, max_magnitude) / max_magnitude
-    image = np.round(_wheel_rgb(hue, sat) * 255.0).astype(np.uint8)
-    image[~field.mask] = 0
-    return image
+    return _fill_cells(np.round(_wheel_rgb(hue, sat) * 255.0).astype(np.uint8), ~field.mask)
 
 
 def _draw_line(image: np.ndarray, x0: int, y0: int, x1: int, y1: int, color) -> None:

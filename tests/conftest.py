@@ -47,8 +47,11 @@ def splat_bruteforce(positions, values, shape):
 
 
 def assert_invariants(out):
-    """The data-model invariants: zeros under false mask bits, finite values under true ones."""
-    assert np.all(out.vectors[~out.mask] == 0.0)
+    """The data-model invariants: +0.0 bytes under false mask bits, finite values under true ones.
+
+    The bytes are compared, not the values, so a -0.0 under a false bit fails.
+    """
+    assert not out.vectors[~out.mask].view(np.uint64).any()
     assert np.isfinite(out.vectors[out.mask]).all()
 
 

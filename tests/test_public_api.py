@@ -89,3 +89,25 @@ def test_cells_are_zeroed_only_in_core_fill_cells():
     """One zeroing primitive: no src function but `core._fill_cells` builds an `np.void` cell view."""
     views = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "void")
     assert views == ["core._fill_cells"]
+
+
+def test_cells_are_selected_and_filled_one_way():
+    """No src function picks values with `np.choose` or assigns a zero through a subscript.
+
+    Per-sector values come from closed forms, and cells under a mask are
+    zeroed by `core._fill_cells`, not by `array[mask] = 0`.
+    """
+    def zero(node):
+        if isinstance(node, ast.UnaryOp):
+            return zero(node.operand)
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+
+    found = _owners(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "choose")
+        or (
+            isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Subscript) for target in node.targets)
+            and zero(node.value)
+        )
+    )
+    assert found == []

@@ -70,10 +70,17 @@ def colorwheel_via_hsv(field, max_magnitude):
     return np.round(rgb * 255.0).astype(np.uint8)
 
 
-# Sector edges, the top of the range and the hue that reduces to 360 itself.
-EDGE_HUES = [0.0, 60.0, 120.0, 180.0, 240.0, 300.0, 360.0, float(np.nextafter(360.0, 0.0))]
+# Sector edges, 360 itself (the top of the range) and each edge's nearest
+# neighbours inside [0, 360], where the closed form's min/max branches switch.
+EDGE_HUES = [60.0 * k for k in range(7)] + [
+    float(near)
+    for k in range(7)
+    for toward in (-np.inf, np.inf)
+    if 0.0 <= (near := np.nextafter(60.0 * k, toward)) <= 360.0
+]
+EDGE_SATURATIONS = [0.0, 5e-324, 1e-300, 0.3, 1.0]
 HUES = st.one_of(st.floats(0.0, 360.0), st.sampled_from(EDGE_HUES))
-SATURATIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-300, 1.0]))
+SATURATIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_SATURATIONS))
 
 
 class TestWheelClosedForm:
@@ -81,6 +88,11 @@ class TestWheelClosedForm:
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_hsv_at_value_one(self, pairs):
         hue, sat = np.array(pairs).T
+        want = hsv_to_rgb(hue, sat, np.ones_like(hue))
+        assert _wheel_rgb(hue, sat).tobytes() == want.tobytes()
+
+    def test_every_edge_hue_matches_hsv(self):
+        hue, sat = np.array([(h, s) for h in EDGE_HUES for s in EDGE_SATURATIONS]).T
         want = hsv_to_rgb(hue, sat, np.ones_like(hue))
         assert _wheel_rgb(hue, sat).tobytes() == want.tobytes()
 
