@@ -203,9 +203,7 @@ def _fill_cells(data: np.ndarray, where: np.ndarray) -> np.ndarray:
     """Zero the bytes of the (..., C) cells of `data` under true `where` bits (+0.0 for floats).
 
     Works in place, writing each cell as one item, and returns `data`, which
-    must be a writable C-contiguous array. It is the one code that zeroes
-    cells: of masked copies and `pad`'s border, of `interp._sample`'s and
-    `interp._splat`'s unmasked quotients and of the wheel's invalid pixels.
+    must be a writable C-contiguous array. It is the one code that zeroes cells.
     """
     if data.size:  # no cells or no channels have nothing to fill
         cell_type = np.dtype((np.void, data.itemsize * data.shape[-1]))

@@ -23,7 +23,7 @@ channel axis only 2 or 3 long; the products and sums are those of the
 broadcast form, bit for bit. Both finish unmasked, float errors ignored:
 each sampled row is scaled by its coverage's reciprocal and each splatted
 cell divided by its weight, then `core._fill_cells` zeroes those below
-threshold whole.
+threshold whole, and a finite scan refuses a valid value that overflowed.
 
 Each kernel asks a point source, `points(block) -> (x, y)`, for the points
 of each block, a slice of the point indices: two C-contiguous float64
@@ -203,9 +203,9 @@ def _sample(rows: np.ndarray, mask: np.ndarray, points, n: int):
 
     The rows must be finite and zero where the (H, W) `mask` is false, and
     `points(block)` returns the (x, y) planes of a slice of the n. Returns
-    (n, C) values and (n,) valid flags. Each block is blended straight into
-    its slice of the values, and its invalid rows are zeroed there; it runs
-    in its own call, so its stencil is gone before the next one is formed.
+    (n, C) values and (n,) valid flags, or raises FlowError if a valid value
+    overflows. Each block runs in its own call, blended into its slice of
+    the values with its invalid rows zeroed; its stencil dies before the next.
     """
     h, w = mask.shape
     cells = None if mask.all() else mask.reshape(h * w)
@@ -220,7 +220,8 @@ def _sample(rows: np.ndarray, mask: np.ndarray, points, n: int):
             ok &= coverage >= MASK_SAMPLE_THRESHOLD
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 _scaled(out, np.divide(1.0, coverage, out=coverage))
-        _fill_cells(out, ~ok)
+        if not np.isfinite(_fill_cells(out, ~ok)).all():
+            raise FlowError("sampled values overflow float64")
         return ok
 
     for start in range(0, n, _BLOCK):
@@ -253,9 +254,9 @@ def masked_bilinear_sample(data, mask, points) -> tuple[np.ndarray, np.ndarray]:
     outside the grid; values at invalid points are zero.
 
     The data and the mask weight are blended over one shared stencil, with
-    the same per-channel arithmetic as two `bilinear_sample` calls.
-
-    The mask is bool or integer; data on its valid cells must be finite, the rest is ignored.
+    the same per-channel arithmetic as two `bilinear_sample` calls. The
+    mask is bool or integer; data on its valid cells must be finite, the
+    rest is ignored, and a valid value that overflows float64 raises FlowError.
     """
     rows, h, w, squeeze = _grid_rows(data, "data")
     valid_cells = _mask(mask, (h, w), "mask")

@@ -132,6 +132,13 @@ class TestMaskedBilinearSample:
         # 0.7: only 30% valid weight -> below the 0.5 threshold
         assert not valid[1] and values[1] == 0.0
 
+    def test_rescale_overflow_rejected(self):
+        # The float64 maximum blends finite at coverage 0.999, and the
+        # rescale by 1 / 0.999 rounds past the limit (warnings are errors here).
+        data = np.full((1, 2), np.finfo(float).max)
+        with pytest.raises(FlowError, match="overflow"):
+            masked_bilinear_sample(data, [[True, False]], [[0.001, 0.0]])
+
     def test_all_valid_matches_plain_sampling(self):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(4, 5))

@@ -90,6 +90,14 @@ class TestApply:
         with pytest.raises(FlowError, match="overflow"):
             apply(field, np.full((1, 2), 1.5e308))
 
+    def test_target_rescale_overflow_rejected(self):
+        # Cell 0 samples x = 0.001 next to an invalid cell: the float64
+        # maximum blends finite at coverage 0.999, and the rescale by
+        # 1 / 0.999 rounds past the limit (warnings are errors here).
+        field = FlowField(np.array([[[-0.001, 0.0], [0.0, 0.0]]]), "t")
+        with pytest.raises(FlowError, match="overflow"):
+            apply(field, np.full((1, 2), np.finfo(float).max), [[True, False]])
+
     def test_flow_mask_limits_output(self):
         f = FlowField(np.zeros((1, 4, 2)), "t", np.array([[True, False, True, True]]))
         warped, mask = apply(f, np.arange(4.0).reshape(1, 4))

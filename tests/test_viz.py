@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowfield import FlowError, FlowField, map_vectors, render_arrows, render_colorwheel, zeros
@@ -85,14 +85,10 @@ SATURATIONS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_SATURATIONS))
 
 class TestWheelClosedForm:
     @given(pairs=st.lists(st.tuples(HUES, SATURATIONS), min_size=1, max_size=64))
+    @example(pairs=[(h, s) for h in EDGE_HUES for s in EDGE_SATURATIONS])
     @settings(max_examples=100, deadline=None)
     def test_bit_identical_to_hsv_at_value_one(self, pairs):
         hue, sat = np.array(pairs).T
-        want = hsv_to_rgb(hue, sat, np.ones_like(hue))
-        assert _wheel_rgb(hue, sat).tobytes() == want.tobytes()
-
-    def test_every_edge_hue_matches_hsv(self):
-        hue, sat = np.array([(h, s) for h in EDGE_HUES for s in EDGE_SATURATIONS]).T
         want = hsv_to_rgb(hue, sat, np.ones_like(hue))
         assert _wheel_rgb(hue, sat).tobytes() == want.tobytes()
 
